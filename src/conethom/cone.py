@@ -198,40 +198,14 @@ class EndomorphismField:
         )
 
     def derivation(self, form: Form) -> Form:
-        """Extend the matrix action as a derivation of the fiber word.
-
-        Each fiber generator in each term is replaced in place by its
-        matrix image; the replacement sign is the parity of moving the new
-        generator to its sorted slot. Vanishes on fiber-degree-0 terms.
-        """
+        """Extend the matrix action as a derivation of the fiber word:
+        each fiber generator is replaced in place by its matrix image.
+        Vanishes on fiber-degree-0 terms."""
         if form.chart != self.chart:
             raise ValueError("form lives on a different chart")
-        n = self.chart.n
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
-        for term, coeff in form.terms.items():
-            g, o, f = term
-            rest = f
-            while rest:
-                v_bit = rest & -rest
-                rest ^= v_bit
-                v = v_bit.bit_length() - 1
-                jm1 = (f & (v_bit - 1)).bit_count()
-                f_rest = f ^ v_bit
-                for l in range(n):
-                    l_bit = 1 << l
-                    if l_bit & f_rest:
-                        continue
-                    phi_lv = self.entries[l][v]
-                    if not phi_lv.terms:
-                        continue
-                    c_l = (f_rest & (l_bit - 1)).bit_count()
-                    sign = -1 if (c_l - jm1) & 1 else 1
-                    key = FormTerm(g, o, f_rest | l_bit)
-                    bucket = acc.get(key)
-                    if bucket is None:
-                        bucket = acc[key] = {}
-                    accumulate_product(bucket, coeff.terms, phi_lv.terms, sign)
-        return Form._raw(form.chart, _collect(form.chart.table, acc))
+        chart = self.chart
+        entries = [[Form.from_scalar(chart, e) for e in row] for row in self.entries]
+        return _replace_fiber(chart, form, entries)
 
 
 class ConnectionMatrix:
@@ -306,43 +280,45 @@ class ConnectionMatrix:
         """
         if form.chart != self.chart:
             raise ValueError("form lives on a different chart")
-        n = self.chart.n
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
-        for term, coeff in form.terms.items():
-            g, o, f = term
-            if not f:
-                continue
-            base_sign = -1 if o.bit_count() & 1 else 1
-            rest = f
-            while rest:
-                v_bit = rest & -rest
-                rest ^= v_bit
-                v = v_bit.bit_length() - 1
-                jm1 = (f & (v_bit - 1)).bit_count()
-                f_rest = f ^ v_bit
-                for l in range(n):
-                    l_bit = 1 << l
-                    if l_bit & f_rest:
+        return form.d() + _replace_fiber(self.chart, form, self.entries)
+
+
+def _replace_fiber(chart: ChartSpec, form: Form, entries: Sequence[Sequence[Form]]) -> Form:
+    """Replace each fiber generator e_(v+1) of each term, in place, by its
+    image sum_l entries[l][v] e_(l+1), summed over the generators as a
+    derivation of the fiber word.
+
+    The entry's one-form word is pulled to the front of the term's; the
+    replacement sign is the parity of moving the new generator to its
+    sorted slot. Entries are 0-forms (an endomorphism) or base 1-forms (a
+    connection), so nothing in the entry crosses the fiber word.
+    """
+    n = chart.n
+    acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+    for (g, o, f), coeff in form.terms.items():
+        rest = f
+        while rest:
+            v_bit = rest & -rest
+            rest ^= v_bit
+            v = v_bit.bit_length() - 1
+            jm1 = (f & (v_bit - 1)).bit_count()
+            f_rest = f ^ v_bit
+            for l in range(n):
+                l_bit = 1 << l
+                if l_bit & f_rest:
+                    continue
+                c_l = (f_rest & (l_bit - 1)).bit_count()
+                sign0 = -1 if (c_l - jm1) & 1 else 1
+                new_f = f_rest | l_bit
+                for (_, o2, _), c2 in entries[l][v].terms.items():
+                    if o2 & o:
                         continue
-                    ent = self.entries[l][v]
-                    if ent.is_zero:
-                        continue
-                    c_l = (f_rest & (l_bit - 1)).bit_count()
-                    sign0 = base_sign
-                    if (c_l - jm1) & 1:
-                        sign0 = -sign0
-                    new_f = f_rest | l_bit
-                    for t2, c2 in ent.terms.items():
-                        o2 = t2.one_forms
-                        if o2 & o:
-                            continue
-                        sign = sign0 * merge_sign(o, o2)
-                        key = FormTerm(g, o | o2, new_f)
-                        bucket = acc.get(key)
-                        if bucket is None:
-                            bucket = acc[key] = {}
-                        accumulate_product(bucket, coeff.terms, c2.terms, sign)
-        return form.d() + Form._raw(form.chart, _collect(form.chart.table, acc))
+                    key = FormTerm(g, o2 | o, new_f)
+                    bucket = acc.get(key)
+                    if bucket is None:
+                        bucket = acc[key] = {}
+                    accumulate_product(bucket, coeff.terms, c2.terms, sign0 * merge_sign(o2, o))
+    return Form._raw(chart, _collect(chart.table, acc))
 
 
 def cone_covariant(

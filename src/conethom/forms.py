@@ -488,12 +488,6 @@ class Form:
                 return False
         return True
 
-    def form_degrees(self) -> set[int]:
-        return {t.one_forms.bit_count() for t in self.terms}
-
-    def fiber_degrees(self) -> set[int]:
-        return {t.fiber_gens.bit_count() for t in self.terms}
-
     def sorted_terms(self) -> list[tuple[FormTerm, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
@@ -513,19 +507,21 @@ class Form:
     def from_obj(cls, chart: ChartSpec, obj) -> "Form":
         if not isinstance(obj, list):
             raise ValueError("form payload must be a list of term objects")
-        total = cls.zero(chart)
+        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
         for entry in obj:
             if not isinstance(entry, dict):
                 raise ValueError(f"bad form term {entry!r}")
             coeff = Scalar.from_obj(chart.table, entry.get("coeff", []))
-            total = total + cls.single(
+            single = cls.single(
                 chart,
                 coeff,
                 gauss=int(entry.get("gauss", 0)),
                 d=entry.get("d", ()),
                 e=entry.get("e", ()),
             )
-        return total
+            for term, c in single.terms.items():
+                accumulate_terms(acc.setdefault(term, {}), c.terms, 1)
+        return cls._raw(chart, _collect(chart.table, acc))
 
     def __str__(self) -> str:
         if not self.terms:

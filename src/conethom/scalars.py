@@ -321,15 +321,15 @@ class Scalar:
     def from_obj(cls, table: VarTable, obj) -> "Scalar":
         if not isinstance(obj, list):
             raise ValueError("scalar payload must be a list of [monomial, coeff] pairs")
-        total = cls.zero(table)
+        acc: dict[Monomial, Fraction] = {}
         for entry in obj:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ValueError(f"bad scalar term {entry!r}")
             mdict, coeff_str = entry
             if not isinstance(mdict, dict):
                 raise ValueError(f"bad monomial {mdict!r}")
-            total = total + cls.term(table, rational_from_str(coeff_str), mdict)
-        return total
+            accumulate_terms(acc, cls.term(table, rational_from_str(coeff_str), mdict).terms, 1)
+        return cls._raw(table, {m: q for m, q in acc.items() if q})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -26,7 +26,7 @@ from .cone import (
     cone_d,
     validate_twist_form,
 )
-from .forms import ChartSpec, Form, FormTerm, tautological_section
+from .forms import ChartSpec, Form, FormTerm, _collect, tautological_section
 from .scalars import Monomial, Scalar
 
 
@@ -37,9 +37,14 @@ class ConnectionData:
     The twist may not depend on t (families move only the connection and
     the endomorphism). ``check=False`` bypasses validation; it exists for
     negative-control tests only.
+
+    Derived values (structure forms, exponent, Thom form with its series
+    stats and, for t-families, the exponential slice the transgression
+    primitive reads) are built on first use and memoized on the instance.
+    A test that monkeypatches a builder must therefore use a fresh instance.
     """
 
-    __slots__ = ("chart", "eta", "phi", "omega", "t_dependent")
+    __slots__ = ("chart", "eta", "phi", "omega", "t_dependent", "_memo")
 
     def __init__(
         self,
@@ -66,6 +71,7 @@ class ConnectionData:
         ) or any(
             c.depends_on("t") for row in eta.entries for f in row for c in f.terms.values()
         )
+        self._memo: dict = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConnectionData):
@@ -76,6 +82,14 @@ class ConnectionData:
             and self.phi.entries == other.phi.entries
             and self.omega == other.omega
         )
+
+
+def _derived(data: ConnectionData, key: str, build):
+    """``build(data)``, built once per instance and kept in its memo."""
+    memo = data._memo
+    if key not in memo:
+        memo[key] = build(data)
+    return memo[key]
 
 
 def curvature_matrix(eta: ConnectionMatrix) -> list[list[Form]]:
@@ -165,18 +179,23 @@ def structure_forms_from_matrices(data: ConnectionData) -> tuple[Form, Form]:
     return q_total, s_total
 
 
+def _half_norm(chart: ChartSpec) -> Scalar:
+    """Half the squared fiber norm, the scalar part of the exponent."""
+    table = chart.table
+    half_norm = Scalar.zero(table)
+    for k in range(1, chart.n + 1):
+        half_norm = half_norm + Scalar.term(table, Fraction(1, 2), {f"y{k}": 2})
+    return half_norm
+
+
 def thom_exponent(data: ConnectionData) -> ConePair:
     """The pair whose Gaussian exponential yields the Thom representative:
     (half the squared fiber norm, 0) + covariant derivative of the
     tautological pair - the structure forms."""
     chart = data.chart
-    table = chart.table
     v = tautological_section(chart)
-    half_norm = Scalar.zero(table)
-    for k in range(1, chart.n + 1):
-        half_norm = half_norm + Scalar.term(table, Fraction(1, 2), {f"y{k}": 2})
-    q_form, s_form = structure_forms(data)
-    first = Form.from_scalar(chart, half_norm) + data.eta.covariant_d(v) - q_form
+    q_form, s_form = _derived(data, "structure", structure_forms)
+    first = Form.from_scalar(chart, _half_norm(chart)) + data.eta.covariant_d(v) - q_form
     second = data.phi.derivation(v) - s_form
     return ConePair(first, second)
 
@@ -191,11 +210,7 @@ def gaussian_exponential(exponent: ConePair, *, stats: dict | None = None) -> Co
     is exactly zero, and the fiber-degree bound (rank + 1) is asserted.
     """
     chart = exponent.chart
-    table = chart.table
-    half_norm = Scalar.zero(table)
-    for k in range(1, chart.n + 1):
-        half_norm = half_norm + Scalar.term(table, Fraction(1, 2), {f"y{k}": 2})
-    scalar_part = Scalar.zero(table)
+    scalar_part = Scalar.zero(chart.table)
     for (g, o, f), coeff in exponent.first.terms.items():
         if g:
             raise ValueError("malformed exponent: terms may not carry Gaussian weight")
@@ -204,7 +219,7 @@ def gaussian_exponential(exponent: ConePair, *, stats: dict | None = None) -> Co
     for (g, o, f), coeff in exponent.second.terms.items():
         if g:
             raise ValueError("malformed exponent: terms may not carry Gaussian weight")
-    if scalar_part != half_norm:
+    if scalar_part != _half_norm(chart):
         raise ValueError("malformed exponent: scalar part is not half the squared fiber norm")
     remainder = exponent - ConePair(Form.from_scalar(chart, scalar_part), Form.zero(chart))
     for component in (remainder.first, remainder.second):
@@ -263,10 +278,32 @@ def thom_normalization(chart: ChartSpec) -> Scalar:
     return Scalar.s_power(chart.table, -n).scaled(sign)
 
 
-def thom_form(data: ConnectionData, *, stats: dict | None = None) -> ThomForm:
+def _build_thom(data: ConnectionData) -> tuple[ThomForm, dict, ConePair | None]:
+    """The Thom representative, the stats of its exponential series and,
+    for t-families, the fiber-degree n - 2 slice of the exponential: the
+    only part the transgression primitive's Berezin integral can reach."""
+    stats: dict = {}
+    expo = gaussian_exponential(_derived(data, "exponent", thom_exponent), stats=stats)
     norm = thom_normalization(data.chart)
-    expo = gaussian_exponential(thom_exponent(data), stats=stats)
-    return ThomForm(pair=expo.berezin().scale(norm), normalization=norm)
+    u = ThomForm(pair=expo.berezin().scale(norm), normalization=norm)
+    if not data.t_dependent:
+        return u, stats, None
+    degree = data.chart.n - 2
+    sliced = [
+        Form._raw(data.chart, {t: c for t, c in form.terms.items() if t.fiber_gens.bit_count() == degree})
+        for form in (expo.first, expo.second)
+    ]
+    return u, stats, ConePair(*sliced)
+
+
+def thom_form(data: ConnectionData) -> ThomForm:
+    """The Thom representative of an instance, memoized on it."""
+    return _derived(data, "thom", _build_thom)[0]
+
+
+def series_stats(data: ConnectionData) -> dict:
+    """Size counters of the exponential series behind ``thom_form``."""
+    return dict(_derived(data, "thom", _build_thom)[1])
 
 
 _DOUBLE_FACTORIAL_CACHE: dict[int, int] = {-1: 1, 1: 1}
@@ -291,7 +328,6 @@ def _fiber_integral_form(form: Form) -> Form:
     vanish, with one factor of s per fiber direction.
     """
     chart = form.chart
-    table = chart.table
     dy_mask = chart.dy_mask
     m, n = chart.m, chart.n
     buckets: dict[FormTerm, dict[Monomial, Fraction]] = {}
@@ -326,12 +362,7 @@ def _fiber_integral_form(form: Form) -> Form:
             q = q * moment
             cur = bucket.get(new_mono)
             bucket[new_mono] = q if cur is None else cur + q
-    out = {}
-    for key, bucket in buckets.items():
-        clean = {mo: c for mo, c in bucket.items() if c}
-        if clean:
-            out[key] = Scalar._raw(table, clean)
-    return Form._raw(chart, out)
+    return Form._raw(chart, _collect(chart.table, buckets))
 
 
 def fiber_integral(pair: ConePair) -> ConePair:
@@ -359,11 +390,13 @@ def variation_forms(data: ConnectionData) -> tuple[Form, Form]:
 
 def transgression_primitive(data: ConnectionData) -> ConePair:
     """The pair whose cone differential equals the t-derivative of the
-    Thom representative."""
+    Thom representative; zero for a static instance, whose variation pair
+    vanishes."""
+    if not data.t_dependent:
+        return ConePair.zero(data.chart)
     y_form, z_form = variation_forms(data)
-    expo = gaussian_exponential(thom_exponent(data))
-    norm = thom_normalization(data.chart)
-    return ConePair(y_form, z_form).wedge(expo).berezin().scale(norm)
+    u, _, expo_slice = _derived(data, "thom", _build_thom)
+    return ConePair(y_form, z_form).wedge(expo_slice).berezin().scale(u.normalization)
 
 
 # ----------------------------------------------------------------------
@@ -375,32 +408,32 @@ def transgression_primitive(data: ConnectionData) -> ConePair:
 
 def bianchi_residual(data: ConnectionData) -> ConePair:
     """Covariant derivative of the structure-form pair."""
-    q_form, s_form = structure_forms(data)
+    q_form, s_form = _derived(data, "structure", structure_forms)
     return cone_covariant(data.eta, data.phi, data.omega, ConePair(q_form, s_form), check=False)
 
 
 def structure_cross_residual(data: ConnectionData) -> ConePair:
     """Operational structure forms minus the matrix-formula route."""
-    q_op, s_op = structure_forms(data)
+    q_op, s_op = _derived(data, "structure", structure_forms)
     q_mx, s_mx = structure_forms_from_matrices(data)
     return ConePair(q_op - q_mx, s_op - s_mx)
 
 
-def closedness_residual(data: ConnectionData, *, stats: dict | None = None) -> ConePair:
+def closedness_residual(data: ConnectionData) -> ConePair:
     """Cone differential of the Thom representative."""
-    u = thom_form(data, stats=stats)
+    u = thom_form(data)
     return cone_d(u.pair, data.omega, check=False)
 
 
-def fiber_integral_residual(data: ConnectionData, *, stats: dict | None = None) -> ConePair:
+def fiber_integral_residual(data: ConnectionData) -> ConePair:
     """Fiber integral of the Thom representative minus (1, 0)."""
-    u = thom_form(data, stats=stats)
+    u = thom_form(data)
     return fiber_integral(u.pair) - ConePair.unit(data.chart)
 
 
 def exponent_contraction_residual(data: ConnectionData) -> ConePair:
     """(covariant derivative + contraction) of the exponent pair."""
-    a = thom_exponent(data)
+    a = _derived(data, "exponent", thom_exponent)
     return (
         cone_covariant(data.eta, data.phi, data.omega, a, check=False)
         + a.contract_tautological()
@@ -412,7 +445,7 @@ def mechanism_residuals(data: ConnectionData) -> dict[str, Form]:
     (covariant derivative + contraction) on the exponent."""
     chart = data.chart
     v = tautological_section(chart)
-    q_form, s_form = structure_forms(data)
+    q_form, s_form = _derived(data, "structure", structure_forms)
     phi_v = data.phi.derivation(v)
     nabla_v = data.eta.covariant_d(v)
     curv_v = data.eta.covariant_d(nabla_v) + data.omega.wedge(phi_v)
@@ -428,7 +461,7 @@ def variation_derivative_residual(data: ConnectionData) -> ConePair:
     """Covariant derivative of the variation pair minus the t-derivative
     of the structure-form pair."""
     y_form, z_form = variation_forms(data)
-    q_form, s_form = structure_forms(data)
+    q_form, s_form = _derived(data, "structure", structure_forms)
     lhs = cone_covariant(data.eta, data.phi, data.omega, ConePair(y_form, z_form), check=False)
     rhs = ConePair(q_form.t_derivative(), s_form.t_derivative())
     return lhs - rhs
@@ -437,7 +470,7 @@ def variation_derivative_residual(data: ConnectionData) -> ConePair:
 def exponent_variation_residual(data: ConnectionData) -> ConePair:
     """t-derivative of the exponent plus (covariant derivative +
     contraction) of the variation pair."""
-    a = thom_exponent(data)
+    a = _derived(data, "exponent", thom_exponent)
     y_form, z_form = variation_forms(data)
     yz = ConePair(y_form, z_form)
     return a.t_derivative() + (
@@ -446,10 +479,10 @@ def exponent_variation_residual(data: ConnectionData) -> ConePair:
     )
 
 
-def transgression_residual(data: ConnectionData, *, stats: dict | None = None) -> ConePair:
+def transgression_residual(data: ConnectionData) -> ConePair:
     """t-derivative of the Thom representative minus the cone differential
     of the transgression primitive, as polynomials in t."""
-    u = thom_form(data, stats=stats)
+    u = thom_form(data)
     primitive = transgression_primitive(data)
     return u.pair.t_derivative() - cone_d(primitive, data.omega, check=False)
 

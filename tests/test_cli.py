@@ -8,7 +8,7 @@ import pytest
 from conethom.cli import main
 from conethom.cone import EndomorphismField
 from conethom.instances import GenConfig, generate
-from conethom.report import run_check, run_suite
+from conethom.report import CHECK_NAMES, run_check, run_suite
 from conethom.scalars import Scalar
 from conethom.thom import ConnectionData
 
@@ -152,6 +152,11 @@ def test_run_suite_bundles_cross_check():
         "bianchi", "qs-cross", "closed", "fiber",
         "berezin-commute", "cone-pair-laws", "transgression", "rho",
     }
+
+
+def test_report_schema_names_every_registered_check():
+    schema = json.loads((DOCS / "report.schema.json").read_text())
+    assert tuple(schema["$defs"]["report"]["properties"]["check"]["enum"]) == CHECK_NAMES
 
 
 def test_gen_writes_to_stdout_without_out(capsys):

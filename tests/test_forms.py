@@ -114,6 +114,26 @@ def test_berezin_examples():
     assert Form.one(CHART).berezin().is_zero
 
 
+def test_from_obj_merges_repeats_and_drops_cancellations():
+    x1 = [[{"x1": 1}, "1/1"]]
+    payload = [
+        {"gauss": 1, "d": ["dy1"], "e": ["e1"], "coeff": x1},
+        {"gauss": 0, "d": ["dx1", "dx2"], "e": [], "coeff": [[{}, "2/3"]]},
+        {"gauss": 1, "d": ["dy1"], "e": ["e1"], "coeff": x1},
+        {"gauss": 0, "d": ["dx2", "dx1"], "e": [], "coeff": [[{}, "2/3"]]},
+    ]
+    out = Form.from_obj(CHART, payload)
+    expect = Form.single(CHART, Scalar.term(CHART.table, 2, {"x1": 1}), gauss=1, d=("dy1",), e=("e1",))
+    assert out == expect
+    assert len(out.terms) == 1
+    summed = Form.zero(CHART)
+    for entry in payload:
+        coeff = Scalar.from_obj(CHART.table, entry["coeff"])
+        summed = summed + Form.single(CHART, coeff, gauss=entry["gauss"], d=entry["d"], e=entry["e"])
+    assert out == summed
+    assert Form.from_obj(CHART, out.to_obj()) == out
+
+
 def test_contract_of_tautological_is_norm():
     v = tautological_section(CHART)
     norm = Scalar.term(TABLE, 1, {"y1": 2}) + Scalar.term(TABLE, 1, {"y2": 2})

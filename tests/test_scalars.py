@@ -107,6 +107,20 @@ def test_obj_round_trip():
     assert Scalar.from_obj(TABLE, a.to_obj()) == a
 
 
+def test_from_obj_merges_repeats_and_drops_cancellations():
+    payload = [
+        [{"x1": 1}, "1/2"],
+        [{"y1": 2}, "3/1"],
+        [{"x1": 1}, "1/3"],
+        [{"y1": 2}, "-3/1"],
+    ]
+    out = Scalar.from_obj(TABLE, payload)
+    assert out == Scalar.term(TABLE, Fraction(5, 6), {"x1": 1})
+    assert out == sum(
+        (Scalar.term(TABLE, rational_from_str(c), m) for m, c in payload), Scalar.zero(TABLE)
+    )
+
+
 # ----------------------------------------------------------------------
 # randomized ring laws
 

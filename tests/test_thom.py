@@ -6,6 +6,7 @@ import pytest
 from conethom.cone import ConePair, ConnectionMatrix, EndomorphismField
 from conethom.forms import ChartSpec, Form, tautological_section
 from conethom.instances import GenConfig, generate, random_pair
+from conethom.report import run_suite
 from conethom.scalars import Scalar
 from conethom import thom
 
@@ -314,6 +315,41 @@ def test_transgression_trivial_for_static_data():
     data = generate(GenConfig(m=2, n=2, seed=31))
     assert thom.transgression_residual(data).is_zero
     assert thom.transgression_primitive(data).is_zero
+
+
+# ----------------------------------------------------------------------
+# derived values are built once per instance
+
+
+def count_builds(monkeypatch) -> dict:
+    calls = {}
+    for name in ("structure_forms", "thom_exponent", "gaussian_exponential"):
+        original = getattr(thom, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(thom, name, counted)
+    return calls
+
+
+def test_check_all_builds_each_derived_value_once(monkeypatch):
+    calls = count_builds(monkeypatch)
+    data = generate(GenConfig(m=2, n=3, seed=21, t_degree=2))
+    assert data.t_dependent
+    reports = run_suite("all", data)
+    assert all(r.passed for r in reports)
+    assert calls == {"structure_forms": 1, "thom_exponent": 1, "gaussian_exponential": 1}
+
+
+def test_static_transgression_primitive_builds_nothing(monkeypatch):
+    calls = count_builds(monkeypatch)
+    data = generate(GenConfig(m=2, n=3, seed=27))
+    assert not data.t_dependent
+    assert thom.transgression_primitive(data) == ConePair.zero(data.chart)
+    assert set(calls.values()) == {0}
 
 
 # ----------------------------------------------------------------------
