@@ -12,11 +12,10 @@ no degree field is stored and components may be inhomogeneous.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import ChartSpec, Form, FormTerm, _collect, merge_sign
-from .scalars import Monomial, Scalar, accumulate_product
+from .scalars import Bucket, Scalar, accumulate_product
 
 
 class ConePair:
@@ -294,7 +293,7 @@ def _replace_fiber(chart: ChartSpec, form: Form, entries: Sequence[Sequence[Form
     connection), so nothing in the entry crosses the fiber word.
     """
     n = chart.n
-    acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+    acc: dict[FormTerm, Bucket] = {}
     for (g, o, f), coeff in form.terms.items():
         rest = f
         while rest:
@@ -316,8 +315,8 @@ def _replace_fiber(chart: ChartSpec, form: Form, entries: Sequence[Sequence[Form
                     key = FormTerm(g, o2 | o, new_f)
                     bucket = acc.get(key)
                     if bucket is None:
-                        bucket = acc[key] = {}
-                    accumulate_product(bucket, coeff.terms, c2.terms, sign0 * merge_sign(o2, o))
+                        bucket = acc[key] = Bucket()
+                    accumulate_product(bucket, coeff, c2, sign0 * merge_sign(o2, o))
     return Form._raw(chart, _collect(chart.table, acc))
 
 

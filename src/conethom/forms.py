@@ -24,11 +24,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import (
-    Monomial,
+    Bucket,
     Scalar,
     VarTable,
     accumulate_product,
     accumulate_terms,
+    exact_rational,
     var_table,
 )
 
@@ -73,10 +74,6 @@ class ChartSpec:
     @property
     def one_form_count(self) -> int:
         return self.m + self.n
-
-    @property
-    def dx_mask(self) -> int:
-        return (1 << self.m) - 1
 
     @property
     def dy_mask(self) -> int:
@@ -142,12 +139,12 @@ def term_sort_key(term: FormTerm):
     )
 
 
-def _collect(table: VarTable, acc: dict[FormTerm, dict[Monomial, Fraction]]) -> dict[FormTerm, Scalar]:
+def _collect(table: VarTable, acc: dict[FormTerm, Bucket]) -> dict[FormTerm, Scalar]:
     out = {}
     for key, bucket in acc.items():
-        clean = {m: c for m, c in bucket.items() if c}
-        if clean:
-            out[key] = Scalar._raw(table, clean)
+        coeff = bucket.scalar(table)
+        if coeff.terms:
+            out[key] = coeff
     return out
 
 
@@ -290,7 +287,7 @@ class Form:
                 if prod.terms:
                     res[term] = prod
             return Form._raw(self.chart, res)
-        q = Fraction(value)
+        q = exact_rational(value)
         if not q:
             return Form.zero(self.chart)
         return Form._raw(self.chart, {t: c.scaled(q) for t, c in self.terms.items()})
@@ -317,7 +314,7 @@ class Form:
         product.
         """
         self._check_chart(other)
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+        acc: dict[FormTerm, Bucket] = {}
         for t1, c1 in self.terms.items():
             g1, o1, f1 = t1
             f1_odd = f1.bit_count() & 1
@@ -331,8 +328,8 @@ class Form:
                 key = FormTerm(g1 + g2, o1 | o2, f1 | f2)
                 bucket = acc.get(key)
                 if bucket is None:
-                    bucket = acc[key] = {}
-                accumulate_product(bucket, c1.terms, c2.terms, sign)
+                    bucket = acc[key] = Bucket()
+                accumulate_product(bucket, c1, c2, sign)
         return Form._raw(self.chart, _collect(self.chart.table, acc))
 
     # ------------------------------------------------------------------
@@ -350,7 +347,7 @@ class Form:
         table = chart.table
         nvars = chart.one_form_count
         y_vars = [Scalar.variable(table, f"y{j}") for j in range(1, chart.n + 1)]
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+        acc: dict[FormTerm, Bucket] = {}
         for term, coeff in self.terms.items():
             g, o, f = term
             for idx in range(nvars):
@@ -366,8 +363,8 @@ class Form:
                 key = FormTerm(g, o | bit, f)
                 bucket = acc.get(key)
                 if bucket is None:
-                    bucket = acc[key] = {}
-                accumulate_terms(bucket, total.terms, sign)
+                    bucket = acc[key] = Bucket()
+                accumulate_terms(bucket, total, sign)
         return Form._raw(chart, _collect(table, acc))
 
     def contract_tautological(self) -> "Form":
@@ -380,7 +377,7 @@ class Form:
         chart = self.chart
         table = chart.table
         y_vars = [Scalar.variable(table, f"y{j}") for j in range(1, chart.n + 1)]
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+        acc: dict[FormTerm, Bucket] = {}
         for term, coeff in self.terms.items():
             g, o, f = term
             if not f:
@@ -394,8 +391,8 @@ class Form:
                 key = FormTerm(g, o, f ^ bit)
                 bucket = acc.get(key)
                 if bucket is None:
-                    bucket = acc[key] = {}
-                accumulate_product(bucket, coeff.terms, y_vars[k].terms, sign)
+                    bucket = acc[key] = Bucket()
+                accumulate_product(bucket, coeff, y_vars[k], sign)
         return Form._raw(chart, _collect(table, acc))
 
     def berezin(self) -> "Form":
@@ -412,9 +409,9 @@ class Form:
         """Substitute e_i -> sum_j R[j][i] e_j for an exact special
         orthogonal rational matrix R, and re-expand."""
         n = self.chart.n
-        rows = [[Fraction(v) for v in row] for row in matrix]
+        rows = [[exact_rational(v) for v in row] for row in matrix]
         _check_special_orthogonal(rows, n)
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+        acc: dict[FormTerm, Bucket] = {}
         for term, coeff in self.terms.items():
             g, o, f = term
             # expand the substituted fiber word left to right
@@ -441,8 +438,8 @@ class Form:
                 key = FormTerm(g, o, mask)
                 bucket = acc.get(key)
                 if bucket is None:
-                    bucket = acc[key] = {}
-                accumulate_terms(bucket, coeff.scaled(c).terms, 1)
+                    bucket = acc[key] = Bucket()
+                accumulate_terms(bucket, coeff.scaled(c), 1)
         return Form._raw(self.chart, _collect(self.chart.table, acc))
 
     def t_derivative(self) -> "Form":
@@ -507,7 +504,7 @@ class Form:
     def from_obj(cls, chart: ChartSpec, obj) -> "Form":
         if not isinstance(obj, list):
             raise ValueError("form payload must be a list of term objects")
-        acc: dict[FormTerm, dict[Monomial, Fraction]] = {}
+        acc: dict[FormTerm, Bucket] = {}
         for entry in obj:
             if not isinstance(entry, dict):
                 raise ValueError(f"bad form term {entry!r}")
@@ -520,7 +517,7 @@ class Form:
                 e=entry.get("e", ()),
             )
             for term, c in single.terms.items():
-                accumulate_terms(acc.setdefault(term, {}), c.terms, 1)
+                accumulate_terms(acc.setdefault(term, Bucket()), c, 1)
         return cls._raw(chart, _collect(chart.table, acc))
 
     def __str__(self) -> str:

@@ -75,7 +75,7 @@ def _random_base_scalar(
     allow_t: bool = True,
 ) -> Scalar:
     table = chart.table
-    total = Scalar.zero(table)
+    terms: dict[Monomial, Fraction] = {}
     for _ in range(rng.randint(1, config.max_terms)):
         exps = [0] * table.size
         if chart.m:
@@ -84,9 +84,9 @@ def _random_base_scalar(
                 exps[rng.randrange(chart.m)] += 1
         if allow_t and config.t_degree:
             exps[table.size - 1] = rng.randint(0, config.t_degree)
-        coeff = _random_rational(rng, config.coeff_bound)
-        total = total + Scalar(table, {Monomial(tuple(exps), 0): coeff})
-    return total
+        mono = Monomial(tuple(exps), 0)
+        terms[mono] = terms.get(mono, 0) + _random_rational(rng, config.coeff_bound)
+    return Scalar(table, terms)
 
 
 def _random_base_one_form(

@@ -1,27 +1,50 @@
 """Exact coefficient ring: sparse polynomials over rationals.
 
-A Scalar is a sparse polynomial with Fraction coefficients in the chart
+A Scalar is a sparse polynomial with rational coefficients in the chart
 variables x1..xm, the fiber variables y1..yn and the family parameter t,
 times an integer power of a formal unit ``s`` standing for sqrt(2*pi).
 Keeping s symbolic lets Gaussian moments cancel normalization factors
 exactly instead of numerically.
 
-Floats enter only through :meth:`Scalar.evaluate`, the bridge used by the
-numeric quadrature oracle in the test suite.
+Representation. A Scalar holds one positive integer denominator ``den``
+and a dict ``terms`` from a packed monomial to a nonzero integer
+numerator; the coefficient of a monomial is ``terms[key] / den``. The form
+is canonical: ``gcd(den, *numerators) == 1``, so ``den`` is the lcm of the
+reduced coefficient denominators and structural equality is exact.
+
+Packing (the packed-exponent layout of Monagan and Pearce): each declared
+variable owns a field of ``FIELD_BITS`` bits, the first variable of the
+table in the most significant field; the top bit of each field is a guard
+bit, so an exponent must stay below ``EXPONENT_LIMIT``. The power of s sits
+above every field as a signed value. A monomial product is then one int
+addition and a partial derivative one subtraction. A product that carries
+an exponent into a guard bit raises ValueError naming the variable; so
+does an exponent at or above the limit in any constructor. Nothing wraps.
+
+``Monomial`` (an exponent tuple plus the s power), ``Fraction`` and the
+reduced ``p/q`` text appear only at the boundary: the public constructors,
+``sorted_terms``, ``to_obj``/``from_obj``, ``__str__`` and
+:meth:`Scalar.evaluate`, the bridge to floats used by the numeric
+quadrature oracle in the test suite. Floats are refused everywhere else.
+
+Fused sums of products go through a :class:`Bucket` and the raw helpers
+:func:`accumulate_product`, :func:`accumulate_terms` and
+:func:`accumulate_moments`; no other module packs or unpacks a monomial.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, NamedTuple
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 S_NAME = "s"
 
-
-def rational_to_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -38,14 +61,36 @@ def rational_from_str(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+def exact_rational(value) -> Fraction:
+    """The value as a Fraction; only int and Fraction are exact inputs."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"exact arithmetic takes int or Fraction, not {type(value).__name__}")
+
+
+class Monomial(NamedTuple):
+    """Exponent vector over a table's variables plus a power of s: the
+    boundary form of a packed monomial.
+
+    ``exps`` has one slot per declared variable, in table order.
+    Serialization stays sparse (zero exponents are skipped).
+    """
+
+    exps: tuple[int, ...]
+    s: int = 0
+
+
 class VarTable:
-    """Declared commuting variables for one chart: x1..xm, y1..yn, t.
+    """Declared commuting variables for one chart: x1..xm, y1..yn, t, and
+    the bit layout of their packed monomials.
 
     The unit s is not part of the table; it is tracked separately on each
     monomial and is never differentiated.
     """
 
-    __slots__ = ("m", "n", "names", "_index")
+    __slots__ = ("m", "n", "names", "_index", "shifts", "s_shift", "guard")
 
     def __init__(self, m: int, n: int):
         if m < 0 or n < 0:
@@ -58,6 +103,10 @@ class VarTable:
             + ["t"]
         )
         self._index = {name: k for k, name in enumerate(self.names)}
+        size = len(self.names)
+        self.shifts = tuple(FIELD_BITS * (size - 1 - k) for k in range(size))
+        self.s_shift = FIELD_BITS * size
+        self.guard = sum(EXPONENT_LIMIT << shift for shift in self.shifts)
 
     @property
     def size(self) -> int:
@@ -69,9 +118,6 @@ class VarTable:
         except KeyError:
             raise ValueError(f"variable {name!r} is not declared in this table") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarTable) and (self.m, self.n) == (other.m, other.n)
 
@@ -81,63 +127,89 @@ class VarTable:
     def __repr__(self) -> str:
         return f"VarTable(m={self.m}, n={self.n})"
 
+    def pack(self, exps: Sequence[int], s: int) -> int:
+        if len(exps) != len(self.names):
+            raise ValueError("monomial does not match the variable table")
+        if min(exps) < 0:
+            raise ValueError("variable exponents must be nonnegative (only s may be inverted)")
+        if max(exps) >= EXPONENT_LIMIT:
+            name, e = next((name, e) for name, e in zip(self.names, exps) if e >= EXPONENT_LIMIT)
+            raise ValueError(f"exponent {e} of {name} is not below the limit {EXPONENT_LIMIT}")
+        key = s
+        for e in exps:
+            key = (key << FIELD_BITS) + e
+        return key
+
+    def pack_powers(self, powers: Mapping[str, int]) -> int:
+        """Packed key of a sparse map like {"x1": 2, "s": -3}."""
+        exps = [0] * len(self.names)
+        s = 0
+        for name, e in powers.items():
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError(f"exponent {e!r} of {name} is not an integer")
+            if name == S_NAME:
+                s += e
+            else:
+                exps[self.index(name)] += e
+        return self.pack(exps, s)
+
+    def unpack(self, key: int) -> Monomial:
+        return Monomial(tuple([(key >> shift) & _FIELD_MASK for shift in self.shifts]), key >> self.s_shift)
+
+    def check_guard(self, keys) -> None:
+        """Raise if a product carried any exponent of ``keys`` into a guard bit."""
+        hit = reduce(or_, keys, 0) & self.guard
+        if hit:
+            name = next(name for name, shift in zip(self.names, self.shifts) if hit >> shift & EXPONENT_LIMIT)
+            raise ValueError(f"exponent of {name} overflows the limit {EXPONENT_LIMIT} in a product")
+
 
 @lru_cache(maxsize=None)
 def var_table(m: int, n: int) -> VarTable:
     return VarTable(m, n)
 
 
-class Monomial(NamedTuple):
-    """Exponent vector over a table's variables plus a power of s.
+def _normalized(table: VarTable, den: int, terms: dict[int, int]) -> "Scalar":
+    """Scalar from nonzero numerators over den, divided by their common gcd."""
+    if not terms:
+        return Scalar._raw(table, 1, terms)
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return Scalar._raw(table, den, terms)
 
-    ``exps`` has one slot per declared variable, in table order; the layout
-    is dense so equality and hashing are structural with no normalization
-    step. Serialization stays sparse (zero exponents are skipped).
-    """
 
-    exps: tuple[int, ...]
-    s: int = 0
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(operator.add, self.exps, other.exps)), self.s + other.s)
-
-    def sort_key(self):
-        # graded lexicographic in the declared variable order, s power last
-        return (self.degree(), self.exps, self.s)
+def _from_fractions(coeffs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """Canonical (den, numerators) of packed keys with exact coefficients."""
+    den = lcm(*[q.denominator for q in coeffs.values()])
+    return den, {k: q.numerator * (den // q.denominator) for k, q in coeffs.items() if q}
 
 
 class Scalar:
-    """Sparse multivariate polynomial with exact Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients:
+    integer numerators ``terms`` over one denominator ``den``.
 
     Immutable by convention: every operation returns a new value and never
     touches its operands, so Scalars can be shared freely across threads.
-    Two Scalars are equal exactly when their term maps coincide.
+    Two Scalars are equal exactly when their denominators and term maps
+    coincide; ``len`` is the number of monomials.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "den", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction] | None = None):
         self.table = table
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            size = table.size
-            for mono, coeff in terms.items():
-                if len(mono.exps) != size:
-                    raise ValueError("monomial does not match the variable table")
-                if any(e < 0 for e in mono.exps):
-                    raise ValueError("variable exponents must be nonnegative (only s may be inverted)")
-                q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if q:
-                    clean[mono] = q
-        self.terms = clean
+        self.den, self.terms = _from_fractions(
+            {table.pack(mono.exps, mono.s): exact_rational(q) for mono, q in (terms or {}).items()}
+        )
 
     @classmethod
-    def _raw(cls, table: VarTable, terms: dict[Monomial, Fraction]) -> "Scalar":
+    def _raw(cls, table: VarTable, den: int, terms: dict[int, int]) -> "Scalar":
         out = object.__new__(cls)
         out.table = table
+        out.den = den
         out.terms = terms
         return out
 
@@ -146,40 +218,31 @@ class Scalar:
 
     @classmethod
     def zero(cls, table: VarTable) -> "Scalar":
-        return cls._raw(table, {})
+        return cls._raw(table, 1, {})
 
     @classmethod
     def rational(cls, table: VarTable, value) -> "Scalar":
-        q = Fraction(value)
+        q = exact_rational(value)
         if not q:
-            return cls._raw(table, {})
-        return cls._raw(table, {Monomial((0,) * table.size, 0): q})
+            return cls._raw(table, 1, {})
+        return cls._raw(table, q.denominator, {0: q.numerator})
 
     @classmethod
     def one(cls, table: VarTable) -> "Scalar":
-        return cls.rational(table, 1)
+        return cls._raw(table, 1, {0: 1})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Scalar":
-        exps = [0] * table.size
-        exps[table.index(name)] = 1
-        return cls._raw(table, {Monomial(tuple(exps), 0): Fraction(1)})
+        return cls._raw(table, 1, {1 << table.shifts[table.index(name)]: 1})
 
     @classmethod
     def s_power(cls, table: VarTable, power: int) -> "Scalar":
-        return cls._raw(table, {Monomial((0,) * table.size, power): Fraction(1)})
+        return cls._raw(table, 1, {power << table.s_shift: 1})
 
     @classmethod
     def term(cls, table: VarTable, coeff, powers: Mapping[str, int] | None = None) -> "Scalar":
         """Single term from a sparse map like {"x1": 2, "s": -3}."""
-        exps = [0] * table.size
-        s_exp = 0
-        for name, e in (powers or {}).items():
-            if name == S_NAME:
-                s_exp += int(e)
-            else:
-                exps[table.index(name)] += int(e)
-        return cls(table, {Monomial(tuple(exps), s_exp): Fraction(coeff)})
+        return cls._raw(table, *_from_fractions({table.pack_powers(powers or {}): exact_rational(coeff)}))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -188,42 +251,38 @@ class Scalar:
         if self.table is not other.table and self.table != other.table:
             raise ValueError("operands use different variable tables")
 
+    def _combine(self, other: "Scalar", sign: int) -> "Scalar":
+        self._check_table(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            res = dict(self.terms)
+            f2 = sign
+        else:
+            g = gcd(d1, d2)
+            f1 = d2 // g
+            res = {k: c * f1 for k, c in self.terms.items()}
+            f2 = sign * (d1 // g)
+            d1 *= f1
+        for k, c in other.terms.items():
+            tot = res.get(k, 0) + c * f2
+            if tot:
+                res[k] = tot
+            else:
+                del res[k]
+        return _normalized(self.table, d1, res)
+
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_table(other)
-        res = dict(self.terms)
-        for mono, q in other.terms.items():
-            cur = res.get(mono)
-            if cur is None:
-                res[mono] = q
-            else:
-                tot = cur + q
-                if tot:
-                    res[mono] = tot
-                else:
-                    del res[mono]
-        return Scalar._raw(self.table, res)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_table(other)
-        res = dict(self.terms)
-        for mono, q in other.terms.items():
-            cur = res.get(mono)
-            if cur is None:
-                res[mono] = -q
-            else:
-                tot = cur - q
-                if tot:
-                    res[mono] = tot
-                else:
-                    del res[mono]
-        return Scalar._raw(self.table, res)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(self.table, {m: -q for m, q in self.terms.items()})
+        return Scalar._raw(self.table, self.den, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -231,9 +290,9 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_table(other)
-        res: dict[Monomial, Fraction] = {}
-        accumulate_product(res, self.terms, other.terms, 1)
-        return Scalar._raw(self.table, {m: q for m, q in res.items() if q})
+        bucket = Bucket()
+        accumulate_product(bucket, self, other, 1)
+        return bucket.scalar(self.table)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,10 +300,14 @@ class Scalar:
         return NotImplemented
 
     def scaled(self, value) -> "Scalar":
-        q = value if isinstance(value, Fraction) else Fraction(value)
+        q = exact_rational(value)
         if not q:
-            return Scalar._raw(self.table, {})
-        return Scalar._raw(self.table, {m: c * q for m, c in self.terms.items()})
+            return Scalar._raw(self.table, 1, {})
+        p = q.numerator
+        return _normalized(self.table, self.den * q.denominator, {k: c * p for k, c in self.terms.items()})
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
     # ------------------------------------------------------------------
     # calculus and evaluation
@@ -253,23 +316,22 @@ class Scalar:
         """Formal partial derivative; s is a constant unit and is rejected."""
         if name == S_NAME:
             raise ValueError("cannot differentiate with respect to the unit s")
-        idx = self.table.index(name)
-        res: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exps[idx]
-            if not e:
-                continue
-            exps = list(mono.exps)
-            exps[idx] = e - 1
-            res[Monomial(tuple(exps), mono.s)] = coeff * e
-        return Scalar._raw(self.table, res)
+        shift = self.table.shifts[self.table.index(name)]
+        one = 1 << shift
+        res: dict[int, int] = {}
+        for k, c in self.terms.items():
+            e = (k >> shift) & _FIELD_MASK
+            if e:
+                res[k - one] = c * e
+        return _normalized(self.table, self.den, res)
 
     def evaluate(self, point: Mapping[str, float], s_value: float) -> float:
         """Numeric value at a point; every variable that occurs must be bound."""
         names = self.table.names
         total = 0.0
-        for mono, coeff in self.terms.items():
-            val = float(coeff)
+        for k, c in self.terms.items():
+            mono = self.table.unpack(k)
+            val = float(Fraction(c, self.den))
             for idx, e in enumerate(mono.exps):
                 if e:
                     name = names[idx]
@@ -283,9 +345,10 @@ class Scalar:
 
     def depends_on(self, name: str) -> bool:
         if name == S_NAME:
-            return any(m.s for m in self.terms)
-        idx = self.table.index(name)
-        return any(m.exps[idx] for m in self.terms)
+            shift = self.table.s_shift
+            return any(k >> shift for k in self.terms)
+        shift = self.table.shifts[self.table.index(name)]
+        return any((k >> shift) & _FIELD_MASK for k in self.terms)
 
     # ------------------------------------------------------------------
     # structure
@@ -300,52 +363,61 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self.den == other.den and self.terms == other.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+    def sorted_terms(self) -> list[tuple[int, tuple[int, ...], int, str]]:
+        """(degree, exponents, s power, reduced "p/q") rows in graded-lex
+        order of the declared variables, s power last."""
+        shifts, s_shift, den = self.table.shifts, self.table.s_shift, self.den
+        rows = []
+        for k, c in self.terms.items():
+            exps = tuple([(k >> shift) & _FIELD_MASK for shift in shifts])
+            g = gcd(c, den)
+            rows.append((sum(exps), exps, k >> s_shift, f"{c // g}/{den // g}"))
+        rows.sort()
+        return rows
 
     def to_obj(self) -> list:
         """Canonical JSON-ready shape: [[monomial map, "p/q"], ...]."""
+        names = self.table.names
         out = []
-        for mono, coeff in self.sorted_terms():
-            mdict: dict[str, int] = {
-                self.table.names[i]: e for i, e in enumerate(mono.exps) if e
-            }
-            if mono.s:
-                mdict[S_NAME] = mono.s
-            out.append([mdict, rational_to_str(coeff)])
+        for _, exps, s, coeff in self.sorted_terms():
+            mdict: dict[str, int] = {names[i]: e for i, e in enumerate(exps) if e}
+            if s:
+                mdict[S_NAME] = s
+            out.append([mdict, coeff])
         return out
 
     @classmethod
     def from_obj(cls, table: VarTable, obj) -> "Scalar":
         if not isinstance(obj, list):
             raise ValueError("scalar payload must be a list of [monomial, coeff] pairs")
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for entry in obj:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ValueError(f"bad scalar term {entry!r}")
             mdict, coeff_str = entry
             if not isinstance(mdict, dict):
                 raise ValueError(f"bad monomial {mdict!r}")
-            accumulate_terms(acc, cls.term(table, rational_from_str(coeff_str), mdict).terms, 1)
-        return cls._raw(table, {m: q for m, q in acc.items() if q})
+            key = table.pack_powers(mdict)
+            acc[key] = acc.get(key, 0) + rational_from_str(coeff_str)
+        return cls._raw(table, *_from_fractions(acc))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True):
-            factors = [rational_to_str(coeff)]
-            for i, e in enumerate(mono.exps):
+        for _, exps, s, coeff in reversed(self.sorted_terms()):
+            factors = [coeff]
+            for i, e in enumerate(exps):
                 if e == 1:
                     factors.append(self.table.names[i])
                 elif e:
                     factors.append(f"{self.table.names[i]}^{e}")
-            if mono.s == 1:
+            if s == 1:
                 factors.append(S_NAME)
-            elif mono.s:
-                factors.append(f"{S_NAME}^{mono.s}")
+            elif s:
+                factors.append(f"{S_NAME}^{s}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -353,38 +425,89 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def accumulate_product(
-    dst: dict[Monomial, Fraction],
-    left: Mapping[Monomial, Fraction],
-    right: Mapping[Monomial, Fraction],
-    sign: int,
-) -> None:
-    """dst += sign * left * right at the raw term-map level.
+class Bucket:
+    """Mutable running sum of Scalars: integer numerators over one
+    denominator that grows to the lcm of what arrives.
 
-    Internal plumbing shared with the form algebra so products can be fused
-    into one accumulator without allocating intermediate Scalars. Zero
-    coefficients may remain in dst; callers prune on collection.
+    Internal plumbing shared with the form algebra, so that products are
+    fused into one accumulator without allocating intermediate Scalars.
+    Zero numerators may remain until :meth:`scalar` collects the sum.
     """
-    if sign < 0:
-        left = {m: -c for m, c in left.items()}
-    add = operator.add
-    for m1, c1 in left.items():
-        e1, s1 = m1
-        for m2, c2 in right.items():
-            mono = Monomial(tuple(map(add, e1, m2.exps)), s1 + m2.s)
-            q = c1 * c2
-            cur = dst.get(mono)
-            dst[mono] = q if cur is None else cur + q
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self):
+        self.den = 1
+        self.terms: dict[int, int] = {}
+
+    def factor(self, den: int) -> int:
+        """Bring the bucket onto a multiple of den; return its den // den."""
+        own = self.den
+        if own % den:
+            if self.terms:
+                f = den // gcd(own, den)
+                terms = self.terms
+                for k in terms:
+                    terms[k] *= f
+                own *= f
+            else:
+                own = den
+            self.den = own
+        return own // den
+
+    def scalar(self, table: VarTable) -> Scalar:
+        """The collected sum, canonical; raises on a guard-bit overflow.
+        The bucket must not be used afterwards."""
+        terms = self.terms
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        table.check_guard(terms)
+        return _normalized(table, self.den, terms)
 
 
-def accumulate_terms(
-    dst: dict[Monomial, Fraction],
-    src: Mapping[Monomial, Fraction],
-    sign: int,
+def accumulate_product(dst: Bucket, left: Scalar, right: Scalar, sign: int) -> None:
+    """dst += sign * left * right, one int add per monomial product."""
+    f = dst.factor(left.den * right.den) * sign
+    terms = dst.terms
+    get = terms.get
+    pairs = right.terms.items()
+    for k1, c1 in left.terms.items():
+        c1 *= f
+        for k2, c2 in pairs:
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+
+
+def accumulate_terms(dst: Bucket, src: Scalar, sign: int) -> None:
+    """dst += sign * src."""
+    f = dst.factor(src.den) * sign
+    terms = dst.terms
+    get = terms.get
+    for k, c in src.terms.items():
+        terms[k] = get(k, 0) + c * f
+
+
+def accumulate_moments(
+    dst: Bucket, src: Scalar, names: Sequence[str], moment: Callable[[int], int], s_power: int
 ) -> None:
-    """dst += sign * src at the raw term-map level."""
-    for mono, q in src.items():
-        if sign < 0:
-            q = -q
-        cur = dst.get(mono)
-        dst[mono] = q if cur is None else cur + q
+    """dst += src integrated out in each variable of ``names``: a power e of
+    such a variable becomes the integer factor moment(e) (e > 0) and the
+    variable is dropped; every surviving term gains s^s_power."""
+    table = src.table
+    shifts = [table.shifts[table.index(name)] for name in names]
+    keep = ~sum(_FIELD_MASK << shift for shift in shifts)
+    s_add = s_power << table.s_shift
+    f = dst.factor(src.den)
+    terms = dst.terms
+    get = terms.get
+    for k, c in src.terms.items():
+        weight = f
+        for shift in shifts:
+            e = (k >> shift) & _FIELD_MASK
+            if e:
+                weight *= moment(e)
+                if not weight:
+                    break
+        if weight:
+            key = (k & keep) + s_add
+            terms[key] = get(key, 0) + c * weight

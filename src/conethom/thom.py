@@ -27,7 +27,7 @@ from .cone import (
     validate_twist_form,
 )
 from .forms import ChartSpec, Form, FormTerm, _collect, tautological_section
-from .scalars import Monomial, Scalar
+from .scalars import Bucket, Scalar, accumulate_moments
 
 
 class ConnectionData:
@@ -318,6 +318,11 @@ def double_factorial(k: int) -> int:
     return _DOUBLE_FACTORIAL_CACHE[k]
 
 
+def _gaussian_moment(e: int) -> int:
+    """Integral of y^e against the unit-variance Gaussian, in units of s."""
+    return 0 if e & 1 else double_factorial(e - 1)
+
+
 def _fiber_integral_form(form: Form) -> Form:
     """Push a total-space form down the fiber.
 
@@ -329,8 +334,8 @@ def _fiber_integral_form(form: Form) -> Form:
     """
     chart = form.chart
     dy_mask = chart.dy_mask
-    m, n = chart.m, chart.n
-    buckets: dict[FormTerm, dict[Monomial, Fraction]] = {}
+    fiber_vars = [f"y{j}" for j in range(1, chart.n + 1)]
+    buckets: dict[FormTerm, Bucket] = {}
     for (g, o, f), coeff in form.terms.items():
         if o & dy_mask != dy_mask:
             continue
@@ -343,25 +348,8 @@ def _fiber_integral_form(form: Form) -> Form:
         key = FormTerm(0, o & ~dy_mask, 0)
         bucket = buckets.get(key)
         if bucket is None:
-            bucket = buckets[key] = {}
-        for mono, q in coeff.terms.items():
-            moment = 1
-            for j in range(n):
-                e = mono.exps[m + j]
-                if e & 1:
-                    moment = 0
-                    break
-                if e:
-                    moment *= double_factorial(e - 1)
-            if not moment:
-                continue
-            exps = list(mono.exps)
-            for j in range(n):
-                exps[m + j] = 0
-            new_mono = Monomial(tuple(exps), mono.s + n)
-            q = q * moment
-            cur = bucket.get(new_mono)
-            bucket[new_mono] = q if cur is None else cur + q
+            bucket = buckets[key] = Bucket()
+        accumulate_moments(bucket, coeff, fiber_vars, _gaussian_moment, chart.n)
     return Form._raw(chart, _collect(chart.table, buckets))
 
 

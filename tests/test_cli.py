@@ -9,7 +9,7 @@ from conethom.cli import main
 from conethom.cone import EndomorphismField
 from conethom.instances import GenConfig, generate
 from conethom.report import CHECK_NAMES, run_check, run_suite
-from conethom.scalars import Scalar
+from conethom.scalars import EXPONENT_LIMIT, Scalar
 from conethom.thom import ConnectionData
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -46,6 +46,22 @@ def test_corrupted_instance_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run_cli("check", "bianchi", "--instance", str(path)) == 2
     assert "not skew" in capsys.readouterr().err
+
+
+def test_exponent_beyond_the_field_exits_two(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run_cli("gen", "--m", "2", "--n", "2", "--seed", "3", "--out", str(path))
+    obj = json.loads(path.read_text())
+    obj["omega"][0]["coeff"] = [[{"x1": 2**20}, "1/1"]]
+    path.write_text(json.dumps(obj))
+    assert run_cli("check", "closed", "--instance", str(path)) == 2
+    assert f"exponent {2**20} of x1" in capsys.readouterr().err
+
+
+def test_instance_schema_bounds_exponents_like_the_program():
+    schema = json.loads((DOCS / "instance.schema.json").read_text())
+    variable = schema["$defs"]["monomial"]["patternProperties"]["^(x[0-9]+|y[0-9]+|t)$"]
+    assert variable["maximum"] == EXPONENT_LIMIT - 1
 
 
 def test_missing_inputs_exit_two(capsys):

@@ -304,3 +304,10 @@ def test_berezin_commutes_on_total_space_with_contraction():
                 + p.contract_tautological()
             ).berezin()
             assert lhs == rhs
+
+
+def test_pair_scale_refuses_floats():
+    pair = ConePair(Form.one(CHART), Form.single(CHART, 3, d=("dx1",)))
+    with pytest.raises(TypeError):
+        pair.scale(0.25)
+    assert pair.scale(Fraction(1, 4)).scale(4) == pair

@@ -5,7 +5,7 @@ import pytest
 
 from conethom.forms import ChartSpec, Form, merge_sign, tautological_section
 from conethom.instances import random_form
-from conethom.scalars import Scalar
+from conethom.scalars import EXPONENT_LIMIT, Scalar
 
 CHART = ChartSpec(2, 2)
 TABLE = CHART.table
@@ -245,3 +245,21 @@ def test_merge_sign_is_transposition_parity():
     assert merge_sign(0b1001, 0b0100) == -1
     assert merge_sign(0b0011, 0b1100) == 1
     assert merge_sign(0, 0b111) == 1
+
+
+def test_wedge_overflow_raises_instead_of_wrapping():
+    big = Form.single(CHART, Scalar.term(TABLE, 1, {"x1": EXPONENT_LIMIT - 1}), d=("dx1",))
+    x1 = Form.single(CHART, Scalar.variable(TABLE, "x1"), e=("e1",))
+    with pytest.raises(ValueError, match="exponent of x1 overflows"):
+        big.wedge(x1)
+
+
+def test_scale_and_rotation_refuse_floats():
+    a = Form.single(CHART, Scalar.variable(TABLE, "x1"), d=("dx1",))
+    with pytest.raises(TypeError):
+        a.scale(0.5)
+    with pytest.raises(TypeError):
+        Form.zero(CHART).scale(0.0)
+    with pytest.raises(TypeError):
+        a.rotate_frame([[1.0, 0], [0, 1]])
+    assert a.scale(Fraction(1, 2)).scale(2) == a
