@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 from .cone import EndomorphismField
 from .forms import Form
@@ -31,6 +32,10 @@ from .report import SUITES, VerificationReport, run_check, run_suite
 from .thom import ConnectionData
 
 REPORT_SCHEMA = "conethom.report/v1"
+
+# every generator field is a flag except the coefficient bound, which
+# generated instances always take at its default
+_GEN_FIELDS = [f for f in fields(GenConfig) if f.name != "coeff_bound"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,29 +70,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_gen_flags(parser: argparse.ArgumentParser, *, required: bool) -> None:
-    parser.add_argument("--seed", type=int, required=required)
-    parser.add_argument("--m", type=int, required=required)
-    parser.add_argument("--n", type=int, required=required)
-    parser.add_argument("--max-degree", type=int, default=2)
-    parser.add_argument("--max-terms", type=int, default=3)
-    parser.add_argument("--t-degree", type=int, default=0)
+    for f in _GEN_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        if f.default is MISSING:
+            parser.add_argument(flag, type=int, required=required)
+        else:
+            parser.add_argument(flag, type=int, default=f.default)
+
+
+def _config(args, seed: int) -> GenConfig:
+    values = {f.name: getattr(args, f.name) for f in _GEN_FIELDS}
+    values["seed"] = seed
+    return GenConfig(**values)
 
 
 def _batch_configs(args) -> list[GenConfig]:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     seeds = [args.seed] if args.count == 1 else seed_sequence(args.seed, args.count)
-    return [
-        GenConfig(
-            m=args.m,
-            n=args.n,
-            seed=seed,
-            max_degree=args.max_degree,
-            max_terms=args.max_terms,
-            t_degree=args.t_degree,
-        )
-        for seed in seeds
-    ]
+    return [_config(args, seed) for seed in seeds]
 
 
 def _collect_instances(args) -> list[ConnectionData]:
@@ -120,14 +121,7 @@ def _emit(args, reports: list[VerificationReport], command_line: str) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = GenConfig(
-        m=args.m,
-        n=args.n,
-        seed=args.seed,
-        max_degree=args.max_degree,
-        max_terms=args.max_terms,
-        t_degree=args.t_degree,
-    )
+    config = _config(args, args.seed)
     instance = InstanceFile(data=generate(config), config=config)
     if args.out:
         save_instance(args.out, instance)

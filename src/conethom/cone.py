@@ -138,63 +138,68 @@ def cone_d(pair: ConePair, omega: Form, *, check: bool = True) -> ConePair:
     return ConePair(pair.first.d() + omega.wedge(pair.second), -pair.second.d())
 
 
-class EndomorphismField:
-    """Exactly skew matrix of base functions acting on the fiber frame.
+class _SkewMatrix:
+    """Exactly skew n x n matrix acting on the fiber frame as a derivation
+    of the fiber word; the rules the connection and the endomorphism share.
 
-    entries[i][j] is the coefficient of e_i in the image of e_j (0-based).
-    Entries may depend on the base variables and on t, never on the fiber
-    variables; skewness is validated at construction (``check=False`` is a
-    deliberate bypass for negative-control tests).
+    entries[i][j] belongs to e_i in the image of e_j (0-based). Each entry,
+    taken as a form, is a base form of the subclass's degree: dx generators
+    only, no weight, no fiber word, coefficients free of the fiber
+    variables and of the unit s. These rules and skewness are validated at
+    construction (``check=False`` is a deliberate bypass for
+    negative-control tests).
     """
 
-    __slots__ = ("chart", "entries")
+    __slots__ = ("chart", "entries", "_forms")
+    _kind: str
+    _degree: int
 
-    def __init__(self, chart: ChartSpec, entries: Sequence[Sequence[Scalar]], *, check: bool = True):
+    def __init__(self, chart: ChartSpec, entries: Sequence[Sequence], *, check: bool = True):
         self.chart = chart
         self.entries = tuple(tuple(row) for row in entries)
+        self._forms = self._lift(chart, self.entries)
         if check:
             self._validate()
 
     def _validate(self) -> None:
-        n = self.chart.n
-        table = self.chart.table
+        chart, n = self.chart, self.chart.n
+        table = chart.table
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError(f"endomorphism matrix must be {n}x{n}")
+            raise ValueError(f"{self._kind} matrix must be {n}x{n}")
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if entry.table != table:
-                    raise ValueError(f"entry [{i}][{j}] uses a foreign variable table")
-                for k in range(1, n + 1):
-                    if entry.depends_on(f"y{k}"):
-                        raise ValueError(f"entry [{i}][{j}] depends on fiber variable y{k}")
-                if entry.depends_on("s"):
+                if (getattr(entry, "chart", chart), getattr(entry, "table", table)) != (chart, table):
+                    raise ValueError(f"entry [{i}][{j}] lives on a foreign chart or variable table")
+                form = self._forms[i][j]
+                coeffs = form.terms.values()
+                if not form.is_base_form(degree=self._degree):
+                    fiber = [f"y{k}" for k in range(1, n + 1) if any(c.depends_on(f"y{k}") for c in coeffs)]
+                    if fiber:
+                        raise ValueError(f"entry [{i}][{j}] depends on fiber variable {fiber[0]}")
+                    raise ValueError(f"entry [{i}][{j}] is not a base {self._degree}-form")
+                if any(c.depends_on("s") for c in coeffs):
                     raise ValueError(f"entry [{i}][{j}] carries the unit s")
         for i in range(n):
             for j in range(i, n):
-                if (self.entries[i][j] + self.entries[j][i]).terms:
+                if not (self.entries[i][j] + self.entries[j][i]).is_zero:
                     raise ValueError(
-                        f"endomorphism not skew: entries [{i}][{j}] and [{j}][{i}] do not cancel"
+                        f"{self._kind} not skew: entries [{i}][{j}] and [{j}][{i}] do not cancel"
                     )
 
     @classmethod
-    def zero(cls, chart: ChartSpec) -> "EndomorphismField":
-        z = Scalar.zero(chart.table)
+    def zero(cls, chart: ChartSpec):
         n = chart.n
-        return cls(chart, [[z] * n for _ in range(n)])
+        return cls(chart, [[cls._zero_entry(chart)] * n for _ in range(n)])
 
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int):
         return self.entries[i][j]
 
     @property
     def is_zero(self) -> bool:
-        return all(not e.terms for row in self.entries for e in row)
+        return all(f.is_zero for row in self._forms for f in row)
 
-    def t_derivative(self) -> "EndomorphismField":
-        return EndomorphismField(
-            self.chart,
-            [[e.partial("t") for e in row] for row in self.entries],
-            check=False,
-        )
+    def depends_on(self, name: str) -> bool:
+        return any(c.depends_on(name) for row in self._forms for f in row for c in f.terms.values())
 
     def derivation(self, form: Form) -> Form:
         """Extend the matrix action as a derivation of the fiber word:
@@ -202,66 +207,36 @@ class EndomorphismField:
         Vanishes on fiber-degree-0 terms."""
         if form.chart != self.chart:
             raise ValueError("form lives on a different chart")
-        chart = self.chart
-        entries = [[Form.from_scalar(chart, e) for e in row] for row in self.entries]
-        return _replace_fiber(chart, form, entries)
+        return _replace_fiber(self.chart, form, self._forms)
 
 
-class ConnectionMatrix:
-    """Exactly skew matrix of base 1-forms describing a metric connection.
+class EndomorphismField(_SkewMatrix):
+    """Skew matrix of base functions (Scalar entries, which may depend on
+    t); its derivation is the endomorphism's action on fiber words."""
 
-    entries[i][j] pairs e_i with the derivative of e_j (0-based). Each
-    entry is a base 1-form: dx generators only, no weight, no fiber word,
-    coefficients free of fiber variables.
-    """
+    __slots__ = ()
+    _kind, _degree = "endomorphism", 0
 
-    __slots__ = ("chart", "entries")
+    @staticmethod
+    def _zero_entry(chart: ChartSpec) -> Scalar:
+        return Scalar.zero(chart.table)
 
-    def __init__(self, chart: ChartSpec, entries: Sequence[Sequence[Form]], *, check: bool = True):
-        self.chart = chart
-        self.entries = tuple(tuple(row) for row in entries)
-        if check:
-            self._validate()
+    @staticmethod
+    def _lift(chart: ChartSpec, entries: tuple) -> tuple:
+        return tuple(tuple(Form.from_scalar(chart, e) for e in row) for row in entries)
 
-    def _validate(self) -> None:
-        n = self.chart.n
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError(f"connection matrix must be {n}x{n}")
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                if entry.chart != self.chart:
-                    raise ValueError(f"entry [{i}][{j}] lives on a foreign chart")
-                if not entry.is_base_form(degree=1):
-                    raise ValueError(f"entry [{i}][{j}] is not a base 1-form")
-                for coeff in entry.terms.values():
-                    if coeff.depends_on("s"):
-                        raise ValueError(f"entry [{i}][{j}] carries the unit s")
-        for i in range(n):
-            for j in range(i, n):
-                if not (self.entries[i][j] + self.entries[j][i]).is_zero:
-                    raise ValueError(
-                        f"connection not skew: entries [{i}][{j}] and [{j}][{i}] do not cancel"
-                    )
 
-    @classmethod
-    def zero(cls, chart: ChartSpec) -> "ConnectionMatrix":
-        z = Form.zero(chart)
-        n = chart.n
-        return cls(chart, [[z] * n for _ in range(n)])
+class ConnectionMatrix(_SkewMatrix):
+    """Skew matrix of base 1-forms describing a metric connection: entry
+    [i][j] pairs e_i with the derivative of e_j."""
 
-    def entry(self, i: int, j: int) -> Form:
-        return self.entries[i][j]
+    __slots__ = ()
+    _kind, _degree = "connection", 1
+    _zero_entry = staticmethod(Form.zero)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    def t_derivative(self) -> "ConnectionMatrix":
-        return ConnectionMatrix(
-            self.chart,
-            [[e.t_derivative() for e in row] for row in self.entries],
-            check=False,
-        )
+    @staticmethod
+    def _lift(chart: ChartSpec, entries: tuple) -> tuple:
+        return entries
 
     def covariant_d(self, form: Form) -> Form:
         """Covariant derivative on exterior-bundle valued forms.
@@ -277,9 +252,7 @@ class ConnectionMatrix:
         Leibniz rule, and it reduces to the plain exterior derivative on
         fiber-degree-0 forms.
         """
-        if form.chart != self.chart:
-            raise ValueError("form lives on a different chart")
-        return form.d() + _replace_fiber(self.chart, form, self.entries)
+        return form.d() + self.derivation(form)
 
 
 def _replace_fiber(chart: ChartSpec, form: Form, entries: Sequence[Sequence[Form]]) -> Form:

@@ -29,6 +29,7 @@ from .scalars import (
     VarTable,
     accumulate_product,
     accumulate_terms,
+    exact_int,
     exact_rational,
     var_table,
 )
@@ -196,12 +197,8 @@ class Form:
         return cls._raw(chart, {FormTerm(0, 0, 0): coeff})
 
     @classmethod
-    def constant(cls, chart: ChartSpec, value) -> "Form":
-        return cls.from_scalar(chart, Scalar.rational(chart.table, value))
-
-    @classmethod
     def one(cls, chart: ChartSpec) -> "Form":
-        return cls.constant(chart, 1)
+        return cls.from_scalar(chart, Scalar.one(chart.table))
 
     @classmethod
     def single(
@@ -237,10 +234,6 @@ class Form:
     @classmethod
     def dx(cls, chart: ChartSpec, i: int) -> "Form":
         return cls._raw(chart, {FormTerm(0, chart.dx_bit(i), 0): Scalar.one(chart.table)})
-
-    @classmethod
-    def dy(cls, chart: ChartSpec, j: int) -> "Form":
-        return cls._raw(chart, {FormTerm(0, chart.dy_bit(j), 0): Scalar.one(chart.table)})
 
     @classmethod
     def fiber(cls, chart: ChartSpec, k: int) -> "Form":
@@ -508,14 +501,12 @@ class Form:
         for entry in obj:
             if not isinstance(entry, dict):
                 raise ValueError(f"bad form term {entry!r}")
+            d, e = entry.get("d", []), entry.get("e", [])
+            if not (isinstance(d, list) and isinstance(e, list) and all(isinstance(x, str) for x in d + e)):
+                raise ValueError(f"bad form term {entry!r}: d and e must be lists of generator names")
             coeff = Scalar.from_obj(chart.table, entry.get("coeff", []))
-            single = cls.single(
-                chart,
-                coeff,
-                gauss=int(entry.get("gauss", 0)),
-                d=entry.get("d", ()),
-                e=entry.get("e", ()),
-            )
+            gauss = exact_int(entry.get("gauss", 0), f"Gaussian weight {entry.get('gauss')!r}")
+            single = cls.single(chart, coeff, gauss=gauss, d=d, e=e)
             for term, c in single.terms.items():
                 accumulate_terms(acc.setdefault(term, Bucket()), c, 1)
         return cls._raw(chart, _collect(chart.table, acc))

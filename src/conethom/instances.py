@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .cone import ConePair, ConnectionMatrix, EndomorphismField
 from .forms import ChartSpec, Form, FormTerm
-from .scalars import Monomial, Scalar
+from .scalars import Monomial, Scalar, exact_int
 from .thom import ConnectionData
 
 SCHEMA_NAME = "conethom.instance/v1"
@@ -158,11 +158,18 @@ def connection_to_obj(data: ConnectionData) -> dict:
     }
 
 
-def connection_from_obj(obj: dict, *, check: bool = True) -> ConnectionData:
-    try:
-        chart = ChartSpec(int(obj["m"]), int(obj["n"]))
-    except KeyError as exc:
-        raise ValueError(f"instance payload is missing {exc}") from None
+def _int_fields(obj: dict, names, required, where: str) -> dict[str, int]:
+    """The named integer fields of a file object that are present; each
+    required name must be."""
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing {missing}")
+    return {name: exact_int(obj[name], f"{where} field {name} = {obj[name]!r}") for name in names if name in obj}
+
+
+def connection_from_obj(obj: dict) -> ConnectionData:
+    dims = _int_fields(obj, ("m", "n"), ("m", "n"), "instance")
+    chart = ChartSpec(dims["m"], dims["n"])
     n = chart.n
     eta_obj, phi_obj = obj.get("eta"), obj.get("phi")
     if not isinstance(eta_obj, list) or len(eta_obj) != n:
@@ -180,9 +187,9 @@ def connection_from_obj(obj: dict, *, check: bool = True) -> ConnectionData:
             raise ValueError(f"phi row {i} has the wrong length")
         phi_rows.append([Scalar.from_obj(chart.table, cell) for cell in row])
     omega = Form.from_obj(chart, obj.get("omega", []))
-    eta = ConnectionMatrix(chart, eta_rows, check=check)
-    phi = EndomorphismField(chart, phi_rows, check=check)
-    return ConnectionData(chart, eta, phi, omega, check=check)
+    eta = ConnectionMatrix(chart, eta_rows)
+    phi = EndomorphismField(chart, phi_rows)
+    return ConnectionData(chart, eta, phi, omega)
 
 
 def fingerprint(data: ConnectionData) -> str:
@@ -204,15 +211,7 @@ class InstanceFile:
     def to_obj(self) -> dict:
         obj = {"schema": self.schema}
         if self.config is not None:
-            obj["config"] = {
-                "m": self.config.m,
-                "n": self.config.n,
-                "seed": self.config.seed,
-                "max_degree": self.config.max_degree,
-                "max_terms": self.config.max_terms,
-                "coeff_bound": self.config.coeff_bound,
-                "t_degree": self.config.t_degree,
-            }
+            obj["config"] = asdict(self.config)
         obj.update(connection_to_obj(self.data))
         return obj
 
@@ -226,15 +225,14 @@ class InstanceFile:
         config = None
         if "config" in obj:
             c = obj["config"]
-            config = GenConfig(
-                m=int(c["m"]),
-                n=int(c["n"]),
-                seed=int(c["seed"]),
-                max_degree=int(c.get("max_degree", 2)),
-                max_terms=int(c.get("max_terms", 3)),
-                coeff_bound=int(c.get("coeff_bound", 9)),
-                t_degree=int(c.get("t_degree", 0)),
-            )
+            if not isinstance(c, dict):
+                raise ValueError("instance config must be an object")
+            defaults = {f.name: f.default for f in fields(GenConfig)}
+            unknown = sorted(set(c) - set(defaults))
+            if unknown:
+                raise ValueError(f"unknown instance config fields {unknown}")
+            required = [name for name, default in defaults.items() if default is MISSING]
+            config = GenConfig(**_int_fields(c, defaults, required, "instance config"))
         return cls(data=connection_from_obj(obj), config=config)
 
 
@@ -265,12 +263,12 @@ def random_form(
     base_only: bool = False,
     with_fiber: bool = True,
     max_gauss: int = 0,
-    coeff_bound: int = 5,
-    max_degree: int = 2,
 ) -> Form:
-    """Small random form. With ``base_only`` the one-form word stays in the
-    dx block and coefficients avoid the fiber variables; fiber words stay
-    allowed either way unless ``with_fiber`` is off."""
+    """Small random form whose terms have one monomial of degree at most 2
+    and a rational coefficient with numerator and denominator bounded by 5.
+    With ``base_only`` the one-form word stays in the dx block and
+    coefficients avoid the fiber variables; fiber words stay allowed
+    either way unless ``with_fiber`` is off."""
     table = chart.table
     total = Form.zero(chart)
     gen_bits = chart.m if base_only else chart.one_form_count
@@ -279,14 +277,14 @@ def random_form(
         fiber_mask = rng.getrandbits(chart.n) if with_fiber else 0
         gauss = rng.randint(0, max_gauss) if max_gauss else 0
         exps = [0] * table.size
-        degree = rng.randint(0, max_degree)
+        degree = rng.randint(0, 2)
         var_limit = chart.m if base_only else chart.m + chart.n
         if var_limit:
             for _ in range(degree):
                 exps[rng.randrange(var_limit)] += 1
         coeff = Scalar(
             table,
-            {Monomial(tuple(exps), 0): _random_rational(rng, coeff_bound)},
+            {Monomial(tuple(exps), 0): _random_rational(rng, 5)},
         )
         if coeff.is_zero:
             continue

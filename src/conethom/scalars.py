@@ -49,9 +49,9 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 def rational_from_str(text: str) -> Fraction:
     """Parse the canonical ``p/q`` notation (q required and positive)."""
-    num, sep, den = text.partition("/")
-    if not sep:
+    if not isinstance(text, str) or "/" not in text:
         raise ValueError(f"rational must look like 'p/q', got {text!r}")
+    num, _, den = text.partition("/")
     try:
         p, q = int(num), int(den)
     except ValueError as exc:
@@ -59,6 +59,14 @@ def rational_from_str(text: str) -> Fraction:
     if q <= 0:
         raise ValueError(f"rational denominator must be positive in {text!r}")
     return Fraction(p, q)
+
+
+def exact_int(value, what: str) -> int:
+    """The value if it is an int; a bool, a float such as a JSON 2.7, or a
+    string is refused rather than coerced or truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} is not an integer")
+    return value
 
 
 def exact_rational(value) -> Fraction:
@@ -145,8 +153,7 @@ class VarTable:
         exps = [0] * len(self.names)
         s = 0
         for name, e in powers.items():
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise ValueError(f"exponent {e!r} of {name} is not an integer")
+            exact_int(e, f"exponent {e!r} of {name}")
             if name == S_NAME:
                 s += e
             else:

@@ -35,8 +35,10 @@ class ConnectionData:
     matrices, and a closed base 2-form twist.
 
     The twist may not depend on t (families move only the connection and
-    the endomorphism). ``check=False`` bypasses validation; it exists for
-    negative-control tests only.
+    the endomorphism). ``check=False`` skips the chart and twist checks
+    made here; the matrices validate themselves when they are built. It
+    exists for negative-control tests, which build deliberately broken
+    instances.
 
     Derived values (structure forms, exponent, Thom form with its series
     stats and, for t-families, the exponential slice the transgression
@@ -66,11 +68,7 @@ class ConnectionData:
             for coeff in omega.terms.values():
                 if coeff.depends_on("t"):
                     raise ValueError("twist form may not depend on the family parameter t")
-        self.t_dependent = any(
-            e.depends_on("t") for row in phi.entries for e in row
-        ) or any(
-            c.depends_on("t") for row in eta.entries for f in row for c in f.terms.values()
-        )
+        self.t_dependent = eta.depends_on("t") or phi.depends_on("t")
         self._memo: dict = {}
 
     def __eq__(self, other: object) -> bool:
@@ -119,10 +117,22 @@ def _fiber_pairing(form: Form, chart: ChartSpec, j: int) -> Form:
     return Form._raw(chart, res)
 
 
-def _pair_word(chart: ChartSpec, i: int, j: int) -> Form:
-    """The fiber word e_(i+1) ^ e_(j+1) for i < j."""
-    mask = chart.fiber_bit(i + 1) | chart.fiber_bit(j + 1)
-    return Form._raw(chart, {FormTerm(0, 0, mask): Scalar.one(chart.table)})
+def _on_pair_words(chart: ChartSpec, coeff) -> Form:
+    """sum over i < j of coeff(i, j) ^ e_(i+1) ^ e_(j+1).
+
+    Each coefficient is a form without fiber word, so the pair word just
+    attaches to its terms: no sign arises, and distinct pairs never share
+    a term.
+    """
+    terms = {}
+    for i in range(chart.n):
+        for j in range(i + 1, chart.n):
+            mask = chart.fiber_bit(i + 1) | chart.fiber_bit(j + 1)
+            for (g, o, f), c in coeff(i, j).terms.items():
+                if f:
+                    raise ValueError("pair-word coefficient carries a fiber word")
+                terms[FormTerm(g, o, mask)] = c
+    return Form._raw(chart, terms)
 
 
 def structure_forms(data: ConnectionData) -> tuple[Form, Form]:
@@ -135,23 +145,18 @@ def structure_forms(data: ConnectionData) -> tuple[Form, Form]:
     degree-2 fiber words.
     """
     chart = data.chart
-    n = chart.n
-    q_total = Form.zero(chart)
-    s_total = Form.zero(chart)
-    for i in range(n):
+    eta, phi = data.eta, data.phi
+    q_rows, s_rows = [], []
+    for i in range(chart.n):
         e_i = Form.fiber(chart, i + 1)
-        nabla_e = data.eta.covariant_d(e_i)
-        q_i = data.eta.covariant_d(nabla_e) + data.omega.wedge(data.phi.derivation(e_i))
-        s_i = data.phi.derivation(nabla_e) - data.eta.covariant_d(data.phi.derivation(e_i))
-        for j in range(i + 1, n):
-            word = _pair_word(chart, i, j)
-            qc = _fiber_pairing(q_i, chart, j)
-            if not qc.is_zero:
-                q_total = q_total + qc.wedge(word)
-            sc = _fiber_pairing(s_i, chart, j)
-            if not sc.is_zero:
-                s_total = s_total + sc.wedge(word)
-    return q_total, s_total
+        nabla_e = eta.covariant_d(e_i)
+        phi_e = phi.derivation(e_i)
+        q_rows.append(eta.covariant_d(nabla_e) + data.omega.wedge(phi_e))
+        s_rows.append(phi.derivation(nabla_e) - eta.covariant_d(phi_e))
+    return (
+        _on_pair_words(chart, lambda i, j: _fiber_pairing(q_rows[i], chart, j)),
+        _on_pair_words(chart, lambda i, j: _fiber_pairing(s_rows[i], chart, j)),
+    )
 
 
 def structure_forms_from_matrices(data: ConnectionData) -> tuple[Form, Form]:
@@ -159,24 +164,20 @@ def structure_forms_from_matrices(data: ConnectionData) -> tuple[Form, Form]:
     identities: curvature entries from d(eta) + eta^eta, and the explicit
     commutator expansion for the endomorphism part."""
     chart = data.chart
-    n = chart.n
     eta, phi = data.eta, data.phi
     R = curvature_matrix(eta)
-    q_total = Form.zero(chart)
-    s_total = Form.zero(chart)
-    for i in range(n):
-        for j in range(i + 1, n):
-            word = _pair_word(chart, i, j)
-            qc = R[j][i] + data.omega.scale(phi.entry(j, i))
-            sc = Form.zero(chart) - Form.from_scalar(chart, phi.entry(j, i)).d()
-            for k in range(n):
-                sc = sc + eta.entry(k, i).scale(phi.entry(j, k))
-                sc = sc - eta.entry(j, k).scale(phi.entry(k, i))
-            if not qc.is_zero:
-                q_total = q_total + qc.wedge(word)
-            if not sc.is_zero:
-                s_total = s_total + sc.wedge(word)
-    return q_total, s_total
+
+    def s_coeff(i: int, j: int) -> Form:
+        sc = Form.zero(chart) - Form.from_scalar(chart, phi.entry(j, i)).d()
+        for k in range(chart.n):
+            sc = sc + eta.entry(k, i).scale(phi.entry(j, k))
+            sc = sc - eta.entry(j, k).scale(phi.entry(k, i))
+        return sc
+
+    return (
+        _on_pair_words(chart, lambda i, j: R[j][i] + data.omega.scale(phi.entry(j, i))),
+        _on_pair_words(chart, s_coeff),
+    )
 
 
 def _half_norm(chart: ChartSpec) -> Scalar:
@@ -361,19 +362,10 @@ def variation_forms(data: ConnectionData) -> tuple[Form, Form]:
     """Antisymmetrized t-derivatives of the connection and endomorphism
     matrices, as degree-2 fiber words."""
     chart = data.chart
-    n = chart.n
-    y_total = Form.zero(chart)
-    z_total = Form.zero(chart)
-    for i in range(n):
-        for j in range(i + 1, n):
-            word = _pair_word(chart, i, j)
-            yc = data.eta.entry(j, i).t_derivative()
-            if not yc.is_zero:
-                y_total = y_total + yc.wedge(word)
-            zc = data.phi.entry(j, i).partial("t")
-            if zc.terms:
-                z_total = z_total + Form.from_scalar(chart, zc).wedge(word)
-    return y_total, z_total
+    return (
+        _on_pair_words(chart, lambda i, j: data.eta.entry(j, i).t_derivative()),
+        _on_pair_words(chart, lambda i, j: Form.from_scalar(chart, data.phi.entry(j, i).partial("t"))),
+    )
 
 
 def transgression_primitive(data: ConnectionData) -> ConePair:

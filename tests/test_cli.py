@@ -38,14 +38,29 @@ def test_gen_then_check_instance(tmp_path, capsys):
     assert "CHECK bianchi" in out and "CHECK qs-cross" in out
 
 
-def test_corrupted_instance_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(lambda o: o["phi"][0].__setitem__(1, [[{}, "3/1"]]), "not skew", id="non-skew-phi"),
+        pytest.param(lambda o: o["config"].pop("m"), "instance config is missing ['m']", id="config-without-m"),
+        pytest.param(lambda o: o.__setitem__("config", [1, 2]), "config must be an object", id="config-not-object"),
+        pytest.param(lambda o: o["config"].__setitem__("colour", 1), "unknown instance config", id="config-unknown-key"),
+        pytest.param(lambda o: o["config"].__setitem__("seed", True), "seed = True is not an integer", id="config-bool"),
+        pytest.param(lambda o: o.__setitem__("m", 2.7), "m = 2.7 is not an integer", id="float-m"),
+        pytest.param(lambda o: o["omega"][0].__setitem__("d", [1]), "lists of generator names", id="name-not-string"),
+        pytest.param(lambda o: o["omega"][0].__setitem__("gauss", 0.5), "weight 0.5 is not an integer", id="float-gauss"),
+        pytest.param(lambda o: o["omega"][0]["coeff"][0].__setitem__(1, 3), "must look like 'p/q'", id="coeff-not-string"),
+    ],
+)
+def test_corrupted_instance_exits_two(tmp_path, capsys, corrupt, message):
     path = tmp_path / "inst.json"
     run_cli("gen", "--m", "2", "--n", "2", "--seed", "3", "--out", str(path))
     obj = json.loads(path.read_text())
-    obj["phi"][0][1] = [[{}, "3/1"]]
+    corrupt(obj)
     path.write_text(json.dumps(obj))
     assert run_cli("check", "bianchi", "--instance", str(path)) == 2
-    assert "not skew" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_exponent_beyond_the_field_exits_two(tmp_path, capsys):

@@ -168,6 +168,44 @@ def test_endomorphism_validation():
     EndomorphismField(CHART, [[z, v], [v, z]], check=False)
 
 
+OTHER = ChartSpec(3, 2)
+ZERO_SCALAR, ZERO_FORM = Scalar.zero(TABLE), Form.zero(CHART)
+Y1, S = Scalar.variable(TABLE, "y1"), Scalar.s_power(TABLE, 1)
+
+
+def skew_pair(entry, zero):
+    return [[zero, entry], [-entry, zero]]
+
+
+# a Scalar entry always lifts to a 0-form, so the degree rule binds only
+# the connection
+@pytest.mark.parametrize(
+    "cls, entries, message",
+    [
+        pytest.param(EndomorphismField, [[ZERO_SCALAR]], "endomorphism matrix must be 2x2", id="phi-shape"),
+        pytest.param(ConnectionMatrix, [[ZERO_FORM]], "connection matrix must be 2x2", id="eta-shape"),
+        pytest.param(EndomorphismField, skew_pair(Scalar.one(OTHER.table), ZERO_SCALAR), "foreign", id="phi-table"),
+        pytest.param(ConnectionMatrix, skew_pair(Form.dx(OTHER, 1), ZERO_FORM), "foreign", id="eta-chart"),
+        pytest.param(EndomorphismField, skew_pair(Y1, ZERO_SCALAR), "fiber variable y1", id="phi-fiber"),
+        pytest.param(
+            ConnectionMatrix, skew_pair(Form.single(CHART, Y1, d=("dx1",)), ZERO_FORM), "fiber variable y1", id="eta-fiber"
+        ),
+        pytest.param(EndomorphismField, skew_pair(S, ZERO_SCALAR), "unit s", id="phi-s"),
+        pytest.param(ConnectionMatrix, skew_pair(Form.single(CHART, S, d=("dx1",)), ZERO_FORM), "unit s", id="eta-s"),
+        pytest.param(
+            ConnectionMatrix, skew_pair(Form.single(CHART, 1, d=("dx1", "dx2")), ZERO_FORM), "base 1-form", id="eta-degree"
+        ),
+        pytest.param(
+            EndomorphismField, [[ZERO_SCALAR, Scalar.one(TABLE)]] * 2, "endomorphism not skew", id="phi-skew"
+        ),
+        pytest.param(ConnectionMatrix, [[ZERO_FORM, Form.dx(CHART, 1)]] * 2, "connection not skew", id="eta-skew"),
+    ],
+)
+def test_matrix_validation_rules(cls, entries, message):
+    with pytest.raises(ValueError, match=message):
+        cls(CHART, entries)
+
+
 # ----------------------------------------------------------------------
 # covariant derivative
 
