@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone import ConnectionMatrix
-from .forms import Form, FormTerm
+from .forms import Form
 from .scalars import Scalar
 
 
@@ -25,9 +25,7 @@ def classical_thom_form(eta: ConnectionMatrix) -> Form:
     # sum_k dy_k e_k + sum_{l,k} eta[l][k] y_k e_l, straight from coordinates
     nabla_v = Form.zero(chart)
     for k in range(1, n + 1):
-        nabla_v = nabla_v + Form._raw(
-            chart, {FormTerm(0, chart.dy_bit(k), chart.fiber_bit(k)): Scalar.one(table)}
-        )
+        nabla_v = nabla_v + Form.single(chart, 1, d=(f"dy{k}",), e=(f"e{k}",))
         y_k = Scalar.variable(table, f"y{k}")
         for l in range(1, n + 1):
             entry = eta.entry(l - 1, k - 1)
@@ -44,11 +42,7 @@ def classical_thom_form(eta: ConnectionMatrix) -> Form:
                 r_ji = r_ji + eta.entry(j, k).wedge(eta.entry(k, i))
             if r_ji.is_zero:
                 continue
-            word = Form._raw(
-                chart,
-                {FormTerm(0, 0, chart.fiber_bit(i + 1) | chart.fiber_bit(j + 1)): Scalar.one(table)},
-            )
-            curvature = curvature + r_ji.wedge(word)
+            curvature = curvature + r_ji.wedge(Form.single(chart, 1, e=(f"e{i + 1}", f"e{j + 1}")))
 
     remainder = nabla_v - curvature
     total = Form.one(chart)

@@ -91,7 +91,7 @@ def _batch_configs(args) -> list[GenConfig]:
     return [_config(args, seed) for seed in seeds]
 
 
-def _collect_instances(args) -> list[ConnectionData]:
+def _instances_from_args(args) -> list[ConnectionData]:
     if args.instance is not None:
         if args.seed is not None or args.m is not None or args.n is not None:
             raise ValueError("--instance excludes --seed/--m/--n")
@@ -131,7 +131,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instances = _collect_instances(args)
+    instances = _instances_from_args(args)
     reports: list[VerificationReport] = []
     for data in instances:
         reports.extend(run_suite(args.suite, data))
@@ -139,7 +139,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    instances = _collect_instances(args)
+    instances = _instances_from_args(args)
     reports: list[VerificationReport] = []
     for data in instances:
         if args.instance is not None:

@@ -8,14 +8,18 @@ below; second components never multiply each other.
 Pairs are implemented directly with componentwise rules rather than by
 adjoining a formal odd generator; the grading bookkeeping is per term, so
 no degree field is stored and components may be inhomogeneous.
+
+The connection and the endomorphism are skew matrices that act on fiber
+words through ``Form.substitute_fiber``, the kernel the tautological
+contraction uses too.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .forms import ChartSpec, Form, FormTerm, _collect, merge_sign
-from .scalars import Bucket, Scalar, accumulate_product
+from .forms import ChartSpec, Form
+from .scalars import Scalar
 
 
 class ConePair:
@@ -150,18 +154,23 @@ class _SkewMatrix:
     negative-control tests).
     """
 
-    __slots__ = ("chart", "entries", "_forms")
+    __slots__ = ("chart", "entries", "_images")
     _kind: str
     _degree: int
 
     def __init__(self, chart: ChartSpec, entries: Sequence[Sequence], *, check: bool = True):
         self.chart = chart
         self.entries = tuple(tuple(row) for row in entries)
-        self._forms = self._lift(chart, self.entries)
+        forms = self._lift(chart, self.entries)
         if check:
-            self._validate()
+            self._validate(forms)
+        # the image of e_(v+1): sum over l of entries[l][v] e_(l+1)
+        self._images = tuple(
+            sum((forms[l][v].on_fiber_word(chart.fiber_bit(l + 1)) for l in range(chart.n)), Form.zero(chart))
+            for v in range(chart.n)
+        )
 
-    def _validate(self) -> None:
+    def _validate(self, forms: tuple) -> None:
         chart, n = self.chart, self.chart.n
         table = chart.table
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
@@ -170,7 +179,7 @@ class _SkewMatrix:
             for j, entry in enumerate(row):
                 if (getattr(entry, "chart", chart), getattr(entry, "table", table)) != (chart, table):
                     raise ValueError(f"entry [{i}][{j}] lives on a foreign chart or variable table")
-                form = self._forms[i][j]
+                form = forms[i][j]
                 coeffs = form.terms.values()
                 if not form.is_base_form(degree=self._degree):
                     fiber = [f"y{k}" for k in range(1, n + 1) if any(c.depends_on(f"y{k}") for c in coeffs)]
@@ -196,18 +205,17 @@ class _SkewMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(f.is_zero for row in self._forms for f in row)
+        return all(image.is_zero for image in self._images)
 
     def depends_on(self, name: str) -> bool:
-        return any(c.depends_on(name) for row in self._forms for f in row for c in f.terms.values())
+        return any(c.depends_on(name) for image in self._images for c in image.terms.values())
 
     def derivation(self, form: Form) -> Form:
         """Extend the matrix action as a derivation of the fiber word:
         each fiber generator is replaced in place by its matrix image.
-        Vanishes on fiber-degree-0 terms."""
-        if form.chart != self.chart:
-            raise ValueError("form lives on a different chart")
-        return _replace_fiber(self.chart, form, self._forms)
+        Entries are 0-forms or base 1-forms, so nothing in an image
+        crosses the fiber word. Vanishes on fiber-degree-0 terms."""
+        return form.substitute_fiber(self._images)
 
 
 class EndomorphismField(_SkewMatrix):
@@ -253,44 +261,6 @@ class ConnectionMatrix(_SkewMatrix):
         fiber-degree-0 forms.
         """
         return form.d() + self.derivation(form)
-
-
-def _replace_fiber(chart: ChartSpec, form: Form, entries: Sequence[Sequence[Form]]) -> Form:
-    """Replace each fiber generator e_(v+1) of each term, in place, by its
-    image sum_l entries[l][v] e_(l+1), summed over the generators as a
-    derivation of the fiber word.
-
-    The entry's one-form word is pulled to the front of the term's; the
-    replacement sign is the parity of moving the new generator to its
-    sorted slot. Entries are 0-forms (an endomorphism) or base 1-forms (a
-    connection), so nothing in the entry crosses the fiber word.
-    """
-    n = chart.n
-    acc: dict[FormTerm, Bucket] = {}
-    for (g, o, f), coeff in form.terms.items():
-        rest = f
-        while rest:
-            v_bit = rest & -rest
-            rest ^= v_bit
-            v = v_bit.bit_length() - 1
-            jm1 = (f & (v_bit - 1)).bit_count()
-            f_rest = f ^ v_bit
-            for l in range(n):
-                l_bit = 1 << l
-                if l_bit & f_rest:
-                    continue
-                c_l = (f_rest & (l_bit - 1)).bit_count()
-                sign0 = -1 if (c_l - jm1) & 1 else 1
-                new_f = f_rest | l_bit
-                for (_, o2, _), c2 in entries[l][v].terms.items():
-                    if o2 & o:
-                        continue
-                    key = FormTerm(g, o2 | o, new_f)
-                    bucket = acc.get(key)
-                    if bucket is None:
-                        bucket = acc[key] = Bucket()
-                    accumulate_product(bucket, coeff, c2, sign0 * merge_sign(o2, o))
-    return Form._raw(chart, _collect(chart.table, acc))
 
 
 def cone_covariant(

@@ -15,18 +15,24 @@ there is a single source of truth for signs.
 The Gaussian weight is an integer per term rather than a coefficient
 factor because exp is not polynomial; products add weights and the
 exterior derivative applies the chain rule to them.
+
+Only this module builds raw term maps, signs and accumulation buckets;
+other modules use Form methods. Operators acting on the fiber word one
+generator at a time (the tautological contraction, the connection and
+endomorphism derivations) share :meth:`Form.substitute_fiber`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import (
     Bucket,
     Scalar,
     VarTable,
+    accumulate_moments,
     accumulate_product,
     accumulate_terms,
     exact_int,
@@ -360,80 +366,112 @@ class Form:
                 accumulate_terms(bucket, total, sign)
         return Form._raw(chart, _collect(table, acc))
 
-    def contract_tautological(self) -> "Form":
-        """Interior product with the position section sum_k y_k e_k.
+    def substitute_fiber(self, images: Sequence["Form"], *, odd: bool = False) -> "Form":
+        """Replace each fiber generator e_(v+1) of each term, in place, by
+        the form images[v], summed over the word's generators.
 
-        Acts on the fiber word as an antiderivation against the identity
-        frame pairing, with a global (-1)^(form degree) so the contraction
-        anticommutes past the one-form word.
+        Image terms carry at most one fiber generator. The sign is the
+        parity of moving e_(v+1) from its slot to the front of the fiber
+        word, times that of sorting the image's generator into the rest of
+        the word, times that of pulling the image's one-form word to the
+        front of the term's; nothing in the image crosses the fiber word.
+        ``odd`` adds a global (-1)^(form degree), for an operator that
+        anticommutes past the one-form word. Gaussian weights add.
         """
         chart = self.chart
-        table = chart.table
-        y_vars = [Scalar.variable(table, f"y{j}") for j in range(1, chart.n + 1)]
+        if len(images) != chart.n:
+            raise ValueError(f"need one image per fiber generator, {chart.n} in all")
+        parts = []
+        for image in images:
+            self._check_chart(image)
+            part = []
+            for (g2, o2, f2), c2 in image.terms.items():
+                if f2 & (f2 - 1):
+                    raise ValueError("a fiber image term carries more than one fiber generator")
+                part.append((g2, o2, f2, f2 - 1 if f2 else 0, c2))
+            parts.append(part)
         acc: dict[FormTerm, Bucket] = {}
-        for term, coeff in self.terms.items():
-            g, o, f = term
-            if not f:
-                continue
-            base_sign = -1 if o.bit_count() & 1 else 1
+        for (g, o, f), coeff in self.terms.items():
+            flip = o.bit_count() & 1 if odd else 0
             for bit in _bits(f):
-                k = bit.bit_length() - 1
-                sign = base_sign
-                if (f & (bit - 1)).bit_count() & 1:
-                    sign = -sign
-                key = FormTerm(g, o, f ^ bit)
-                bucket = acc.get(key)
-                if bucket is None:
-                    bucket = acc[key] = Bucket()
-                accumulate_product(bucket, coeff, y_vars[k], sign)
-        return Form._raw(chart, _collect(table, acc))
+                rest = f ^ bit
+                slot = flip ^ (f & (bit - 1)).bit_count() & 1
+                for g2, o2, f2, below, c2 in parts[bit.bit_length() - 1]:
+                    if o2 & o or f2 & rest:
+                        continue
+                    sign = -1 if (slot ^ (rest & below).bit_count()) & 1 else 1
+                    if o2:
+                        sign *= merge_sign(o2, o)
+                    key = FormTerm(g + g2, o | o2, rest | f2)
+                    bucket = acc.get(key)
+                    if bucket is None:
+                        bucket = acc[key] = Bucket()
+                    accumulate_product(bucket, coeff, c2, sign)
+        return Form._raw(chart, _collect(chart.table, acc))
+
+    def contract_tautological(self) -> "Form":
+        """Interior product with the position section sum_k y_k e_k: each
+        fiber generator e_k is replaced by y_k, as an odd operator, so the
+        contraction anticommutes past the one-form word."""
+        chart = self.chart
+        table = chart.table
+        images = [Form.from_scalar(chart, Scalar.variable(table, f"y{k}")) for k in range(1, chart.n + 1)]
+        return self.substitute_fiber(images, odd=True)
+
+    def fiber_coefficient(self, word: int) -> "Form":
+        """Coefficient of the fiber word ``word`` (a bit mask): the terms
+        carrying exactly that word, with the word stripped."""
+        return Form._raw(self.chart, {FormTerm(g, o, 0): c for (g, o, f), c in self.terms.items() if f == word})
 
     def berezin(self) -> "Form":
         """Coefficient of the full fiber word e1^..^en; all other terms die."""
-        full = self.chart.fiber_full
-        res = {
-            FormTerm(g, o, 0): coeff
-            for (g, o, f), coeff in self.terms.items()
-            if f == full
-        }
-        return Form._raw(self.chart, res)
+        return self.fiber_coefficient(self.chart.fiber_full)
 
-    def rotate_frame(self, matrix: Sequence[Sequence]) -> "Form":
-        """Substitute e_i -> sum_j R[j][i] e_j for an exact special
-        orthogonal rational matrix R, and re-expand."""
-        n = self.chart.n
-        rows = [[exact_rational(v) for v in row] for row in matrix]
-        _check_special_orthogonal(rows, n)
-        acc: dict[FormTerm, Bucket] = {}
-        for term, coeff in self.terms.items():
-            g, o, f = term
-            # expand the substituted fiber word left to right
-            words: dict[int, Fraction] = {0: Fraction(1)}
-            for bit in _bits(f):
-                i = bit.bit_length() - 1
-                nxt: dict[int, Fraction] = {}
-                for mask, c in words.items():
-                    for l in range(n):
-                        r = rows[l][i]
-                        if not r:
-                            continue
-                        l_bit = 1 << l
-                        if mask & l_bit:
-                            continue
-                        q = c * r * merge_sign(mask, l_bit)
-                        key = mask | l_bit
-                        cur = nxt.get(key)
-                        nxt[key] = q if cur is None else cur + q
-                words = nxt
-            for mask, c in words.items():
-                if not c:
-                    continue
-                key = FormTerm(g, o, mask)
-                bucket = acc.get(key)
-                if bucket is None:
-                    bucket = acc[key] = Bucket()
-                accumulate_terms(bucket, coeff.scaled(c), 1)
-        return Form._raw(self.chart, _collect(self.chart.table, acc))
+    def fiber_degree_part(self, degree: int) -> "Form":
+        """The terms whose fiber word has ``degree`` generators."""
+        return Form._raw(self.chart, {t: c for t, c in self.terms.items() if t.fiber_gens.bit_count() == degree})
+
+    def on_fiber_word(self, word: int) -> "Form":
+        """This fiber-free form with the fiber word ``word`` (a bit mask)
+        attached to every term; no sign arises."""
+        chart = self.chart
+        if word & ~chart.fiber_full:
+            raise ValueError(f"fiber word {word:#b} does not fit chart {chart}")
+        terms = {}
+        for (g, o, f), coeff in self.terms.items():
+            if f:
+                raise ValueError("form already carries a fiber word")
+            terms[FormTerm(g, o, word)] = coeff
+        return Form._raw(chart, terms)
+
+    def fiber_integral(self) -> "Form":
+        """Push a total-space form down the fiber.
+
+        Only terms carrying every dy generator survive; the canonical storage
+        order already places the dx block before the dy block, so the
+        reordering sign is +1. Each fiber variable then integrates against the
+        unit-variance Gaussian: y^(2k) contributes (2k-1)!! s and odd powers
+        vanish, with one factor of s per fiber direction.
+        """
+        chart = self.chart
+        dy_mask = chart.dy_mask
+        fiber_vars = [f"y{j}" for j in range(1, chart.n + 1)]
+        buckets: dict[FormTerm, Bucket] = {}
+        for (g, o, f), coeff in self.terms.items():
+            if o & dy_mask != dy_mask:
+                continue
+            if f:
+                raise ValueError("cannot integrate a term still carrying fiber generators")
+            if g == 0:
+                raise ValueError("divergent fiber integral: full dy word with no Gaussian weight")
+            if g != 1:
+                raise ValueError(f"unsupported Gaussian weight {g}: the moment table is fixed at weight 1")
+            key = FormTerm(0, o & ~dy_mask, 0)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = Bucket()
+            accumulate_moments(bucket, coeff, fiber_vars, _gaussian_moment, chart.n)
+        return Form._raw(chart, _collect(chart.table, buckets))
 
     def t_derivative(self) -> "Form":
         """Formal derivative in the family parameter t, coefficientwise."""
@@ -531,38 +569,16 @@ class Form:
         return f"Form({self})"
 
 
-def _check_special_orthogonal(rows: list[list[Fraction]], n: int) -> None:
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"rotation matrix must be {n}x{n}")
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(rows[k][i] * rows[k][j] for k in range(n))
-            expect = Fraction(1) if i == j else Fraction(0)
-            if dot != expect:
-                raise ValueError(f"matrix columns {i},{j} are not orthonormal")
-    if _det(rows) != 1:
-        raise ValueError("rotation matrix must have determinant 1")
+def double_factorial(k: int) -> int:
+    """k!! for odd k >= -1."""
+    if k < -1 or not k & 1:
+        raise ValueError("double factorial is used for odd arguments only")
+    return prod(range(k, 0, -2))
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    work = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    work[r][c] -= factor * work[col][c]
-    return det
+def _gaussian_moment(e: int) -> int:
+    """Integral of y^e against the unit-variance Gaussian, in units of s."""
+    return 0 if e & 1 else double_factorial(e - 1)
 
 
 def tautological_section(chart: ChartSpec) -> Form:

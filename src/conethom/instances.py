@@ -25,6 +25,8 @@ from .scalars import Monomial, Scalar, exact_int
 from .thom import ConnectionData
 
 SCHEMA_NAME = "conethom.instance/v1"
+# the top-level fields of an instance file, as in docs/instance.schema.json
+_FILE_FIELDS = ("schema", "config", "m", "n", "eta", "phi", "omega")
 
 _MASK64 = (1 << 64) - 1
 
@@ -198,6 +200,17 @@ def fingerprint(data: ConnectionData) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _config_mismatch(config: GenConfig, data: ConnectionData) -> str | None:
+    """The first field of ``data`` that ``generate(config)`` does not reproduce."""
+    if (config.m, config.n) != (data.chart.m, data.chart.n):
+        return "m, n"
+    expected = generate(config)
+    if expected == data:
+        return None
+    mine, theirs = connection_to_obj(data), connection_to_obj(expected)
+    return next(name for name in ("eta", "phi", "omega") if mine[name] != theirs[name])
+
+
 @dataclass(frozen=True)
 class InstanceFile:
     """On-disk shape of one instance: schema version, optional config echo,
@@ -217,11 +230,16 @@ class InstanceFile:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InstanceFile":
+        """Load and re-validate; a config echo must describe the data, that
+        is ``generate(config)`` must reproduce it."""
         if not isinstance(obj, dict):
             raise ValueError("instance file must hold a JSON object")
         schema = obj.get("schema")
         if schema != SCHEMA_NAME:
             raise ValueError(f"unsupported instance schema {schema!r}, expected {SCHEMA_NAME!r}")
+        unknown = sorted(set(obj) - set(_FILE_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown instance file fields {unknown}")
         config = None
         if "config" in obj:
             c = obj["config"]
@@ -233,7 +251,14 @@ class InstanceFile:
                 raise ValueError(f"unknown instance config fields {unknown}")
             required = [name for name, default in defaults.items() if default is MISSING]
             config = GenConfig(**_int_fields(c, defaults, required, "instance config"))
-        return cls(data=connection_from_obj(obj), config=config)
+        data = connection_from_obj(obj)
+        if config is not None:
+            differs = _config_mismatch(config, data)
+            if differs:
+                raise ValueError(
+                    f"instance data does not match its config echo: {differs} differs from generate(config)"
+                )
+        return cls(data=data, config=config)
 
 
 def save_instance(path, instance: InstanceFile) -> None:

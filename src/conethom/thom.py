@@ -26,8 +26,8 @@ from .cone import (
     cone_d,
     validate_twist_form,
 )
-from .forms import ChartSpec, Form, FormTerm, _collect, tautological_section
-from .scalars import Bucket, Scalar, accumulate_moments
+from .forms import ChartSpec, Form, tautological_section
+from .scalars import Scalar
 
 
 class ConnectionData:
@@ -105,18 +105,6 @@ def curvature_matrix(eta: ConnectionMatrix) -> list[list[Form]]:
     return out
 
 
-def _fiber_pairing(form: Form, chart: ChartSpec, j: int) -> Form:
-    """Frame pairing of a fiber-degree-1 form against e_(j+1): keep the
-    terms carrying exactly that generator and strip it."""
-    bit = chart.fiber_bit(j + 1)
-    res = {
-        FormTerm(g, o, 0): coeff
-        for (g, o, f), coeff in form.terms.items()
-        if f == bit
-    }
-    return Form._raw(chart, res)
-
-
 def _on_pair_words(chart: ChartSpec, coeff) -> Form:
     """sum over i < j of coeff(i, j) ^ e_(i+1) ^ e_(j+1).
 
@@ -124,15 +112,11 @@ def _on_pair_words(chart: ChartSpec, coeff) -> Form:
     attaches to its terms: no sign arises, and distinct pairs never share
     a term.
     """
-    terms = {}
+    out = Form.zero(chart)
     for i in range(chart.n):
         for j in range(i + 1, chart.n):
-            mask = chart.fiber_bit(i + 1) | chart.fiber_bit(j + 1)
-            for (g, o, f), c in coeff(i, j).terms.items():
-                if f:
-                    raise ValueError("pair-word coefficient carries a fiber word")
-                terms[FormTerm(g, o, mask)] = c
-    return Form._raw(chart, terms)
+            out = out + coeff(i, j).on_fiber_word(chart.fiber_bit(i + 1) | chart.fiber_bit(j + 1))
+    return out
 
 
 def structure_forms(data: ConnectionData) -> tuple[Form, Form]:
@@ -154,8 +138,8 @@ def structure_forms(data: ConnectionData) -> tuple[Form, Form]:
         q_rows.append(eta.covariant_d(nabla_e) + data.omega.wedge(phi_e))
         s_rows.append(phi.derivation(nabla_e) - eta.covariant_d(phi_e))
     return (
-        _on_pair_words(chart, lambda i, j: _fiber_pairing(q_rows[i], chart, j)),
-        _on_pair_words(chart, lambda i, j: _fiber_pairing(s_rows[i], chart, j)),
+        _on_pair_words(chart, lambda i, j: q_rows[i].fiber_coefficient(chart.fiber_bit(j + 1))),
+        _on_pair_words(chart, lambda i, j: s_rows[i].fiber_coefficient(chart.fiber_bit(j + 1))),
     )
 
 
@@ -290,11 +274,7 @@ def _build_thom(data: ConnectionData) -> tuple[ThomForm, dict, ConePair | None]:
     if not data.t_dependent:
         return u, stats, None
     degree = data.chart.n - 2
-    sliced = [
-        Form._raw(data.chart, {t: c for t, c in form.terms.items() if t.fiber_gens.bit_count() == degree})
-        for form in (expo.first, expo.second)
-    ]
-    return u, stats, ConePair(*sliced)
+    return u, stats, ConePair(expo.first.fiber_degree_part(degree), expo.second.fiber_degree_part(degree))
 
 
 def thom_form(data: ConnectionData) -> ThomForm:
@@ -307,55 +287,8 @@ def series_stats(data: ConnectionData) -> dict:
     return dict(_derived(data, "thom", _build_thom)[1])
 
 
-_DOUBLE_FACTORIAL_CACHE: dict[int, int] = {-1: 1, 1: 1}
-
-
-def double_factorial(k: int) -> int:
-    """k!! for odd k >= -1."""
-    if k < -1 or not k & 1:
-        raise ValueError("double factorial is used for odd arguments only")
-    if k not in _DOUBLE_FACTORIAL_CACHE:
-        _DOUBLE_FACTORIAL_CACHE[k] = k * double_factorial(k - 2)
-    return _DOUBLE_FACTORIAL_CACHE[k]
-
-
-def _gaussian_moment(e: int) -> int:
-    """Integral of y^e against the unit-variance Gaussian, in units of s."""
-    return 0 if e & 1 else double_factorial(e - 1)
-
-
-def _fiber_integral_form(form: Form) -> Form:
-    """Push a total-space form down the fiber.
-
-    Only terms carrying every dy generator survive; the canonical storage
-    order already places the dx block before the dy block, so the
-    reordering sign is +1. Each fiber variable then integrates against the
-    unit-variance Gaussian: y^(2k) contributes (2k-1)!! s and odd powers
-    vanish, with one factor of s per fiber direction.
-    """
-    chart = form.chart
-    dy_mask = chart.dy_mask
-    fiber_vars = [f"y{j}" for j in range(1, chart.n + 1)]
-    buckets: dict[FormTerm, Bucket] = {}
-    for (g, o, f), coeff in form.terms.items():
-        if o & dy_mask != dy_mask:
-            continue
-        if f:
-            raise ValueError("cannot integrate a term still carrying fiber generators")
-        if g == 0:
-            raise ValueError("divergent fiber integral: full dy word with no Gaussian weight")
-        if g != 1:
-            raise ValueError(f"unsupported Gaussian weight {g}: the moment table is fixed at weight 1")
-        key = FormTerm(0, o & ~dy_mask, 0)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = Bucket()
-        accumulate_moments(bucket, coeff, fiber_vars, _gaussian_moment, chart.n)
-    return Form._raw(chart, _collect(chart.table, buckets))
-
-
 def fiber_integral(pair: ConePair) -> ConePair:
-    return ConePair(_fiber_integral_form(pair.first), _fiber_integral_form(pair.second))
+    return ConePair(pair.first.fiber_integral(), pair.second.fiber_integral())
 
 
 def variation_forms(data: ConnectionData) -> tuple[Form, Form]:

@@ -50,6 +50,9 @@ def test_gen_then_check_instance(tmp_path, capsys):
         pytest.param(lambda o: o["omega"][0].__setitem__("d", [1]), "lists of generator names", id="name-not-string"),
         pytest.param(lambda o: o["omega"][0].__setitem__("gauss", 0.5), "weight 0.5 is not an integer", id="float-gauss"),
         pytest.param(lambda o: o["omega"][0]["coeff"][0].__setitem__(1, 3), "must look like 'p/q'", id="coeff-not-string"),
+        pytest.param(lambda o: o.__setitem__("colour", 1), "unknown instance file fields ['colour']", id="unknown-top-level-key"),
+        pytest.param(lambda o: o["config"].__setitem__("seed", 99), "eta differs from generate(config)", id="config-seed-edited"),
+        pytest.param(lambda o: o["config"].__setitem__("m", 5), "m, n differs from generate(config)", id="config-m-edited"),
     ],
 )
 def test_corrupted_instance_exits_two(tmp_path, capsys, corrupt, message):

@@ -6,6 +6,7 @@ import pytest
 from conethom.forms import ChartSpec, Form, merge_sign, tautological_section
 from conethom.instances import random_form
 from conethom.scalars import EXPONENT_LIMIT, Scalar
+from frames import rotate_frame
 
 CHART = ChartSpec(2, 2)
 TABLE = CHART.table
@@ -114,6 +115,22 @@ def test_berezin_examples():
     assert Form.one(CHART).berezin().is_zero
 
 
+def test_fiber_word_pieces():
+    alpha = Form.single(CHART, sc(Fraction(5, 3)), gauss=1, d=("dx1",))
+    e1, e2 = CHART.fiber_bit(1), CHART.fiber_bit(2)
+    mixed = alpha + alpha.on_fiber_word(e1) + alpha.on_fiber_word(e1 | e2).scale(2)
+    assert alpha.on_fiber_word(e1) == alpha.wedge(Form.fiber(CHART, 1))
+    assert mixed.fiber_coefficient(e1) == alpha
+    assert mixed.fiber_coefficient(e2).is_zero
+    assert mixed.fiber_coefficient(e1 | e2) == mixed.berezin() == alpha.scale(2)
+    assert mixed.fiber_degree_part(0) == alpha
+    assert mixed.fiber_degree_part(1) == alpha.on_fiber_word(e1)
+    with pytest.raises(ValueError, match="already carries a fiber word"):
+        mixed.on_fiber_word(e2)
+    with pytest.raises(ValueError, match="does not fit"):
+        alpha.on_fiber_word(1 << CHART.n)
+
+
 def test_from_obj_merges_repeats_and_drops_cancellations():
     x1 = [[{"x1": 1}, "1/1"]]
     payload = [
@@ -152,13 +169,13 @@ def test_rotate_identity():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     for _ in range(10):
         a = random_form(rng, CHART, terms=3, max_gauss=1)
-        assert a.rotate_frame(eye) == a
+        assert rotate_frame(a, eye) == a
 
 
 def test_rotate_quarter_turn_maps_generators():
     e1, e2 = Form.fiber(CHART, 1), Form.fiber(CHART, 2)
-    assert e1.rotate_frame(ROT90) == e2
-    assert e2.rotate_frame(ROT90) == -e1
+    assert rotate_frame(e1, ROT90) == e2
+    assert rotate_frame(e2, ROT90) == -e1
 
 
 def test_berezin_invariant_under_rotations():
@@ -166,17 +183,7 @@ def test_berezin_invariant_under_rotations():
     for matrix in (ROT90, ROT345):
         for _ in range(15):
             a = random_form(rng, CHART, terms=4, max_gauss=1)
-            assert a.rotate_frame(matrix).berezin() == a.berezin()
-
-
-def test_rotation_validation():
-    with pytest.raises(ValueError):
-        Form.one(CHART).rotate_frame([[1, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        # orthogonal but orientation reversing
-        Form.one(CHART).rotate_frame([[1, 0], [0, -1]])
-    with pytest.raises(ValueError):
-        Form.one(CHART).rotate_frame([[1, 0]])
+            assert rotate_frame(a, matrix).berezin() == a.berezin()
 
 
 # ----------------------------------------------------------------------
@@ -254,12 +261,10 @@ def test_wedge_overflow_raises_instead_of_wrapping():
         big.wedge(x1)
 
 
-def test_scale_and_rotation_refuse_floats():
+def test_scale_refuses_floats():
     a = Form.single(CHART, Scalar.variable(TABLE, "x1"), d=("dx1",))
     with pytest.raises(TypeError):
         a.scale(0.5)
     with pytest.raises(TypeError):
         Form.zero(CHART).scale(0.0)
-    with pytest.raises(TypeError):
-        a.rotate_frame([[1.0, 0], [0, 1]])
     assert a.scale(Fraction(1, 2)).scale(2) == a

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conethom.cone import ConePair, ConnectionMatrix, EndomorphismField
-from conethom.forms import ChartSpec, Form, tautological_section
+from conethom.forms import ChartSpec, Form, double_factorial, tautological_section
 from conethom.instances import GenConfig, generate, random_pair
 from conethom.report import run_suite
 from conethom.scalars import Scalar
@@ -229,7 +229,7 @@ def test_fiber_integral_unit_gaussian():
     chart = ChartSpec(0, 1)
     table = chart.table
     g_dy = Form.single(chart, 1, gauss=1, d=("dy1",))
-    out = thom._fiber_integral_form(g_dy)
+    out = g_dy.fiber_integral()
     assert out == Form.from_scalar(chart, Scalar.s_power(table, 1))
 
 
@@ -237,7 +237,7 @@ def test_fiber_integral_second_moment():
     chart = ChartSpec(0, 1)
     table = chart.table
     term = Form.single(chart, Scalar.term(table, 1, {"y1": 2}), gauss=1, d=("dy1",))
-    assert thom._fiber_integral_form(term) == Form.from_scalar(chart, Scalar.s_power(table, 1))
+    assert term.fiber_integral() == Form.from_scalar(chart, Scalar.s_power(table, 1))
 
 
 def test_fiber_integral_moment_table():
@@ -245,36 +245,36 @@ def test_fiber_integral_moment_table():
     table = chart.table
     for k, expect in ((1, 1), (2, 3), (3, 15), (4, 105), (5, 945), (6, 10395)):
         term = Form.single(chart, Scalar.term(table, 1, {"y1": 2 * k}), gauss=1, d=("dy1",))
-        out = thom._fiber_integral_form(term)
+        out = term.fiber_integral()
         assert out == Form.from_scalar(chart, Scalar.s_power(table, 1).scaled(expect))
     odd = Form.single(chart, Scalar.term(table, 1, {"y1": 3}), gauss=1, d=("dy1",))
-    assert thom._fiber_integral_form(odd).is_zero
+    assert odd.fiber_integral().is_zero
 
 
 def test_fiber_integral_drops_partial_dy_words():
     chart = ChartSpec(1, 2)
     partial = Form.single(chart, 1, gauss=1, d=("dx1", "dy1"))
-    assert thom._fiber_integral_form(partial).is_zero
+    assert partial.fiber_integral().is_zero
 
 
 def test_fiber_integral_error_cases():
     chart = ChartSpec(0, 1)
     no_weight = Form.single(chart, 1, d=("dy1",))
     with pytest.raises(ValueError, match="divergent"):
-        thom._fiber_integral_form(no_weight)
+        no_weight.fiber_integral()
     heavy = Form.single(chart, 1, gauss=2, d=("dy1",))
     with pytest.raises(ValueError, match="unsupported Gaussian weight"):
-        thom._fiber_integral_form(heavy)
+        heavy.fiber_integral()
     fiber_left = Form.single(chart, 1, gauss=1, d=("dy1",), e=("e1",))
     with pytest.raises(ValueError, match="fiber generators"):
-        thom._fiber_integral_form(fiber_left)
+        fiber_left.fiber_integral()
 
 
 def test_double_factorial_domain():
-    assert thom.double_factorial(-1) == 1
-    assert thom.double_factorial(7) == 105
+    assert double_factorial(-1) == 1
+    assert double_factorial(7) == 105
     with pytest.raises(ValueError):
-        thom.double_factorial(4)
+        double_factorial(4)
 
 
 # ----------------------------------------------------------------------
