@@ -25,6 +25,7 @@ endomorphism derivations) share :meth:`Form.substitute_fiber`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -370,7 +371,8 @@ class Form:
         """Replace each fiber generator e_(v+1) of each term, in place, by
         the form images[v], summed over the word's generators.
 
-        Image terms carry at most one fiber generator. The sign is the
+        Image terms carry at most one fiber generator; only the images of
+        generators that occur in the form are read. The sign is the
         parity of moving e_(v+1) from its slot to the front of the fiber
         word, times that of sorting the image's generator into the rest of
         the word, times that of pulling the image's one-form word to the
@@ -381,14 +383,18 @@ class Form:
         chart = self.chart
         if len(images) != chart.n:
             raise ValueError(f"need one image per fiber generator, {chart.n} in all")
+        used = 0
+        for term in self.terms:
+            used |= term.fiber_gens
         parts = []
-        for image in images:
+        for v, image in enumerate(images):
             self._check_chart(image)
             part = []
-            for (g2, o2, f2), c2 in image.terms.items():
-                if f2 & (f2 - 1):
-                    raise ValueError("a fiber image term carries more than one fiber generator")
-                part.append((g2, o2, f2, f2 - 1 if f2 else 0, c2))
+            if used >> v & 1:
+                for (g2, o2, f2), c2 in image.terms.items():
+                    if f2 & (f2 - 1):
+                        raise ValueError("a fiber image term carries more than one fiber generator")
+                    part.append((g2, o2, f2, f2 - 1 if f2 else 0, c2))
             parts.append(part)
         acc: dict[FormTerm, Bucket] = {}
         for (g, o, f), coeff in self.terms.items():
@@ -413,10 +419,7 @@ class Form:
         """Interior product with the position section sum_k y_k e_k: each
         fiber generator e_k is replaced by y_k, as an odd operator, so the
         contraction anticommutes past the one-form word."""
-        chart = self.chart
-        table = chart.table
-        images = [Form.from_scalar(chart, Scalar.variable(table, f"y{k}")) for k in range(1, chart.n + 1)]
-        return self.substitute_fiber(images, odd=True)
+        return self.substitute_fiber(_position_images(self.chart), odd=True)
 
     def fiber_coefficient(self, word: int) -> "Form":
         """Coefficient of the fiber word ``word`` (a bit mask): the terms
@@ -579,6 +582,13 @@ def double_factorial(k: int) -> int:
 def _gaussian_moment(e: int) -> int:
     """Integral of y^e against the unit-variance Gaussian, in units of s."""
     return 0 if e & 1 else double_factorial(e - 1)
+
+
+@lru_cache(maxsize=None)
+def _position_images(chart: ChartSpec) -> tuple[Form, ...]:
+    """The contraction's images y_k of the fiber generators e_k."""
+    table = chart.table
+    return tuple(Form.from_scalar(chart, Scalar.variable(table, f"y{k}")) for k in range(1, chart.n + 1))
 
 
 def tautological_section(chart: ChartSpec) -> Form:

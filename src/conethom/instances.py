@@ -25,7 +25,8 @@ from .scalars import Monomial, Scalar, exact_int
 from .thom import ConnectionData
 
 SCHEMA_NAME = "conethom.instance/v1"
-# the top-level fields of an instance file, as in docs/instance.schema.json
+# the top-level fields of an instance file; a test pins them to
+# InstanceFile.to_obj and docs/instance.schema.json
 _FILE_FIELDS = ("schema", "config", "m", "n", "eta", "phi", "omega")
 
 _MASK64 = (1 << 64) - 1
@@ -200,17 +201,6 @@ def fingerprint(data: ConnectionData) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _config_mismatch(config: GenConfig, data: ConnectionData) -> str | None:
-    """The first field of ``data`` that ``generate(config)`` does not reproduce."""
-    if (config.m, config.n) != (data.chart.m, data.chart.n):
-        return "m, n"
-    expected = generate(config)
-    if expected == data:
-        return None
-    mine, theirs = connection_to_obj(data), connection_to_obj(expected)
-    return next(name for name in ("eta", "phi", "omega") if mine[name] != theirs[name])
-
-
 @dataclass(frozen=True)
 class InstanceFile:
     """On-disk shape of one instance: schema version, optional config echo,
@@ -230,8 +220,6 @@ class InstanceFile:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InstanceFile":
-        """Load and re-validate; a config echo must describe the data, that
-        is ``generate(config)`` must reproduce it."""
         if not isinstance(obj, dict):
             raise ValueError("instance file must hold a JSON object")
         schema = obj.get("schema")
@@ -251,14 +239,7 @@ class InstanceFile:
                 raise ValueError(f"unknown instance config fields {unknown}")
             required = [name for name, default in defaults.items() if default is MISSING]
             config = GenConfig(**_int_fields(c, defaults, required, "instance config"))
-        data = connection_from_obj(obj)
-        if config is not None:
-            differs = _config_mismatch(config, data)
-            if differs:
-                raise ValueError(
-                    f"instance data does not match its config echo: {differs} differs from generate(config)"
-                )
-        return cls(data=data, config=config)
+        return cls(data=connection_from_obj(obj), config=config)
 
 
 def save_instance(path, instance: InstanceFile) -> None:
