@@ -103,15 +103,6 @@ class ConePair:
     def to_obj(self) -> dict:
         return {"first": self.first.to_obj(), "second": self.second.to_obj()}
 
-    @classmethod
-    def from_obj(cls, chart: ChartSpec, obj: dict) -> "ConePair":
-        if not isinstance(obj, dict):
-            raise ValueError("pair payload must be an object with first and second")
-        return cls(
-            Form.from_obj(chart, obj.get("first", [])),
-            Form.from_obj(chart, obj.get("second", [])),
-        )
-
     def __str__(self) -> str:
         return f"({self.first}, {self.second})"
 
@@ -126,7 +117,7 @@ def validate_twist_form(omega: Form) -> None:
     residual = omega.d()
     if not residual.is_zero:
         term, coeff = residual.sorted_terms()[0]
-        names = "^".join(omega.chart.one_form_names(term.one_forms))
+        names = "^".join(omega.chart.names(term.word))
         raise ValueError(f"twist form is not closed: d has nonzero term ({coeff}) {names}")
 
 
@@ -211,10 +202,10 @@ class _SkewMatrix:
         return any(c.depends_on(name) for image in self._images for c in image.terms.values())
 
     def derivation(self, form: Form) -> Form:
-        """Extend the matrix action as a derivation of the fiber word:
-        each fiber generator is replaced in place by its matrix image.
-        Entries are 0-forms or base 1-forms, so nothing in an image
-        crosses the fiber word. Vanishes on fiber-degree-0 terms."""
+        """Extend the matrix action as a derivation of the algebra: each
+        fiber generator is replaced by its matrix image. Odd for the
+        connection, whose images carry a 1-form, and even for the
+        endomorphism. Vanishes on fiber-degree-0 terms."""
         return form.substitute_fiber(self._images)
 
 
@@ -247,17 +238,10 @@ class ConnectionMatrix(_SkewMatrix):
         return entries
 
     def covariant_d(self, form: Form) -> Form:
-        """Covariant derivative on exterior-bundle valued forms.
-
-        Exterior derivative on the coefficient and one-form part, plus
-        (-1)^(form degree) times the wedge with the fiber derivation term,
-        where each fiber generator is replaced in place by its connection
-        image. The connection 1-form pulls out in front of the fiber word
-        with no crossing sign (the derivative is induced from the
-        directional one, where the coefficient is a plain function); only
-        sorting the replaced generator contributes a sign. This is exactly
-        the odd-derivation extension: on products it satisfies the graded
-        Leibniz rule, and it reduces to the plain exterior derivative on
+        """Covariant derivative on exterior-bundle valued forms: the
+        exterior derivative plus the odd derivation sending e_j to
+        sum_i eta[i][j] e_i. On products it satisfies the graded Leibniz
+        rule, and it reduces to the plain exterior derivative on
         fiber-degree-0 forms.
         """
         return form.d() + self.derivation(form)
@@ -268,13 +252,11 @@ def cone_covariant(
     phi: EndomorphismField,
     omega: Form,
     pair: ConePair,
-    *,
-    check: bool = True,
 ) -> ConePair:
     """Covariant derivative of the twisted two-term complex:
-    (covariant d of a + omega ^ b, derivation of a - covariant d of b)."""
-    if check:
-        validate_twist_form(omega)
+    (covariant d of a + omega ^ b, derivation of a - covariant d of b).
+    The twist is not validated here: the residuals run it on deliberately
+    broken instances too."""
     return ConePair(
         eta.covariant_d(pair.first) + omega.wedge(pair.second),
         phi.derivation(pair.first) - eta.covariant_d(pair.second),

@@ -2,15 +2,17 @@
 
 A form is a sparse sum of terms
 
-    c * exp(-g*|y|^2/2) * (one-form word) tensor (fiber word)
+    c * exp(-g*|y|^2/2) * (generator word)
 
-with c an exact polynomial Scalar, g a nonnegative integer weight, the
-one-form word an ordered subset of {dx1..dxm, dy1..dyn} and the fiber word
-an ordered subset of the lifted orthonormal frame {e1..en}. Generator
-subsets are stored as bit masks in the canonical order
-dx1 < .. < dxm < dy1 < .. < dyn and e1 < .. < en; every permutation sign in
-the algebra is derived by counting transpositions against that order, so
-there is a single source of truth for signs.
+with c an exact polynomial Scalar, g a nonnegative integer weight and the
+word an ordered subset of the odd generators dx1..dxm, dy1..dyn of the
+one-forms and e1..en of the lifted orthonormal frame, all in one
+graded-commutative algebra. A word is stored as one bit mask in the
+canonical order dx1 < .. < dxm < dy1 < .. < dyn < e1 < .. < en, lowest bit
+first. Every permutation sign in the algebra is the parity of sorting a
+concatenation of words into that order (:func:`merge_sign`), so there is a
+single source of truth for signs; the crossing of a fiber word by a
+one-form needs no rule of its own.
 
 The Gaussian weight is an integer per term rather than a coefficient
 factor because exp is not polynomial; products add weights and the
@@ -24,6 +26,7 @@ endomorphism derivations) share :meth:`Form.substitute_fiber`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -60,9 +63,25 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+# generator names as the instance schema spells them: ASCII digits only
+_ONE_FORM_NAME = re.compile(r"(dx|dy)([0-9]+)")
+_FIBER_NAME = re.compile(r"e([0-9]+)")
+
+
+@lru_cache(maxsize=None)
+def _generator_names(m: int, n: int) -> tuple[str, ...]:
+    return tuple(
+        [f"dx{i}" for i in range(1, m + 1)] + [f"dy{j}" for j in range(1, n + 1)] + [f"e{k}" for k in range(1, n + 1)]
+    )
+
+
 @dataclass(frozen=True)
 class ChartSpec:
-    """Dimensions of one trivialized chart: base R^m, fiber R^n."""
+    """Dimensions of one trivialized chart: base R^m, fiber R^n.
+
+    Bit p of a generator word is the p-th generator of
+    dx1..dxm, dy1..dyn, e1..en.
+    """
 
     m: int
     n: int
@@ -81,15 +100,20 @@ class ChartSpec:
 
     @property
     def one_form_count(self) -> int:
+        """The number of one-form generators, and the bit of e1."""
         return self.m + self.n
+
+    @property
+    def one_form_mask(self) -> int:
+        return (1 << (self.m + self.n)) - 1
 
     @property
     def dy_mask(self) -> int:
         return ((1 << self.n) - 1) << self.m
 
     @property
-    def fiber_full(self) -> int:
-        return (1 << self.n) - 1
+    def fiber_mask(self) -> int:
+        return ((1 << self.n) - 1) << (self.m + self.n)
 
     def dx_bit(self, i: int) -> int:
         if not 1 <= i <= self.m:
@@ -104,47 +128,32 @@ class ChartSpec:
     def fiber_bit(self, k: int) -> int:
         if not 1 <= k <= self.n:
             raise ValueError(f"e{k} is not a fiber generator of this chart")
-        return 1 << (k - 1)
+        return 1 << (self.m + self.n + k - 1)
 
     def one_form_bit(self, name: str) -> int:
-        if name.startswith("dx"):
-            return self.dx_bit(int(name[2:]))
-        if name.startswith("dy"):
-            return self.dy_bit(int(name[2:]))
-        raise ValueError(f"unknown one-form generator {name!r}")
+        match = _ONE_FORM_NAME.fullmatch(name)
+        if match is None:
+            raise ValueError(f"unknown one-form generator {name!r}")
+        kind, index = match.groups()
+        return self.dx_bit(int(index)) if kind == "dx" else self.dy_bit(int(index))
 
     def fiber_gen_bit(self, name: str) -> int:
-        if name.startswith("e"):
-            return self.fiber_bit(int(name[1:]))
-        raise ValueError(f"unknown fiber generator {name!r}")
+        match = _FIBER_NAME.fullmatch(name)
+        if match is None:
+            raise ValueError(f"unknown fiber generator {name!r}")
+        return self.fiber_bit(int(match[1]))
 
-    def one_form_names(self, mask: int) -> list[str]:
-        out = []
-        for pos in range(self.m + self.n):
-            if mask & (1 << pos):
-                out.append(f"dx{pos + 1}" if pos < self.m else f"dy{pos - self.m + 1}")
-        return out
-
-    def fiber_names(self, mask: int) -> list[str]:
-        return [f"e{pos + 1}" for pos in range(self.n) if mask & (1 << pos)]
+    def names(self, word: int) -> list[str]:
+        """The generators of a word, in canonical order."""
+        names = _generator_names(self.m, self.n)
+        return [names[pos] for pos in range(word.bit_length()) if word >> pos & 1]
 
 
 class FormTerm(NamedTuple):
-    """Structural slot of one term: Gaussian weight and generator words."""
+    """Structural slot of one term: Gaussian weight and generator word."""
 
     gauss: int
-    one_forms: int
-    fiber_gens: int
-
-
-def term_sort_key(term: FormTerm):
-    return (
-        term.one_forms.bit_count(),
-        term.one_forms,
-        term.fiber_gens.bit_count(),
-        term.fiber_gens,
-        term.gauss,
-    )
+    word: int
 
 
 def _collect(table: VarTable, acc: dict[FormTerm, Bucket]) -> dict[FormTerm, Scalar]:
@@ -154,6 +163,9 @@ def _collect(table: VarTable, acc: dict[FormTerm, Bucket]) -> dict[FormTerm, Sca
         if coeff.terms:
             out[key] = coeff
     return out
+
+
+_TERM_FIELDS = {"gauss", "d", "e", "coeff"}
 
 
 class Form:
@@ -170,12 +182,11 @@ class Form:
         clean: dict[FormTerm, Scalar] = {}
         if terms:
             table = chart.table
-            one_limit = (1 << chart.one_form_count) - 1
-            fiber_limit = chart.fiber_full
+            limit = chart.one_form_mask | chart.fiber_mask
             for term, coeff in terms.items():
                 if term.gauss < 0:
                     raise ValueError("Gaussian weight must be nonnegative")
-                if term.one_forms & ~one_limit or term.fiber_gens & ~fiber_limit:
+                if term.word & ~limit:
                     raise ValueError(f"term {term} does not fit chart {chart}")
                 if coeff.table != table:
                     raise ValueError("coefficient table does not match the chart")
@@ -201,7 +212,7 @@ class Form:
     def from_scalar(cls, chart: ChartSpec, coeff: Scalar) -> "Form":
         if not coeff.terms:
             return cls.zero(chart)
-        return cls._raw(chart, {FormTerm(0, 0, 0): coeff})
+        return cls._raw(chart, {FormTerm(0, 0): coeff})
 
     @classmethod
     def one(cls, chart: ChartSpec) -> "Form":
@@ -217,34 +228,23 @@ class Form:
         d: Sequence[str] = (),
         e: Sequence[str] = (),
     ) -> "Form":
-        """One term from generator names, in any order; the sign of sorting
-        the given words into canonical order is folded into the coefficient."""
+        """One term from one-form names ``d`` followed by fiber names ``e``,
+        each in any order; the sign of sorting the word into canonical
+        order is folded into the coefficient."""
         if not isinstance(coeff, Scalar):
             coeff = Scalar.rational(chart.table, coeff)
         sign = 1
-        one_mask = 0
-        for name in d:
-            bit = chart.one_form_bit(name)
-            if one_mask & bit:
+        word = 0
+        for bit in [chart.one_form_bit(name) for name in d] + [chart.fiber_gen_bit(name) for name in e]:
+            if word & bit:
                 return cls.zero(chart)
-            sign *= merge_sign(one_mask, bit)
-            one_mask |= bit
-        fiber_mask = 0
-        for name in e:
-            bit = chart.fiber_gen_bit(name)
-            if fiber_mask & bit:
-                return cls.zero(chart)
-            sign *= merge_sign(fiber_mask, bit)
-            fiber_mask |= bit
-        return cls(chart, {FormTerm(gauss, one_mask, fiber_mask): coeff.scaled(sign)})
-
-    @classmethod
-    def dx(cls, chart: ChartSpec, i: int) -> "Form":
-        return cls._raw(chart, {FormTerm(0, chart.dx_bit(i), 0): Scalar.one(chart.table)})
+            sign *= merge_sign(word, bit)
+            word |= bit
+        return cls(chart, {FormTerm(gauss, word): coeff.scaled(sign)})
 
     @classmethod
     def fiber(cls, chart: ChartSpec, k: int) -> "Form":
-        return cls._raw(chart, {FormTerm(0, 0, chart.fiber_bit(k)): Scalar.one(chart.table)})
+        return cls._raw(chart, {FormTerm(0, chart.fiber_bit(k)): Scalar.one(chart.table)})
 
     # ------------------------------------------------------------------
     # linear structure
@@ -305,31 +305,20 @@ class Form:
     # graded multiplication
 
     def wedge(self, other: "Form") -> "Form":
-        """Graded product.
-
-        Per-term sign: permutation sign merging the one-form words, times
-        the sign merging the fiber words, times (-1)^(left fiber degree *
-        right form degree) for the right one-form word crossing the left
-        fiber word. Gaussian weights add; overlapping generators kill the
-        product.
-        """
+        """Graded product: per pair of terms, the sign of sorting the
+        concatenated words. Gaussian weights add; a shared generator kills
+        the product."""
         self._check_chart(other)
         acc: dict[FormTerm, Bucket] = {}
-        for t1, c1 in self.terms.items():
-            g1, o1, f1 = t1
-            f1_odd = f1.bit_count() & 1
-            for t2, c2 in other.terms.items():
-                g2, o2, f2 = t2
-                if o1 & o2 or f1 & f2:
+        for (g1, w1), c1 in self.terms.items():
+            for (g2, w2), c2 in other.terms.items():
+                if w1 & w2:
                     continue
-                sign = merge_sign(o1, o2) * merge_sign(f1, f2)
-                if f1_odd and o2.bit_count() & 1:
-                    sign = -sign
-                key = FormTerm(g1 + g2, o1 | o2, f1 | f2)
+                key = FormTerm(g1 + g2, w1 | w2)
                 bucket = acc.get(key)
                 if bucket is None:
                     bucket = acc[key] = Bucket()
-                accumulate_product(bucket, c1, c2, sign)
+                accumulate_product(bucket, c1, c2, merge_sign(w1, w2))
         return Form._raw(self.chart, _collect(self.chart.table, acc))
 
     # ------------------------------------------------------------------
@@ -340,111 +329,111 @@ class Form:
 
         Differentiates the coefficient in every chart variable and applies
         the chain rule to the Gaussian weight; the new one-form enters at
-        the front of the one-form word, signed by its sorted position.
-        Fiber words are untouched.
+        the front of the word, signed by its sorted position. Fiber
+        generators sort above every one-form, so they never move.
         """
         chart = self.chart
         table = chart.table
         nvars = chart.one_form_count
         y_vars = [Scalar.variable(table, f"y{j}") for j in range(1, chart.n + 1)]
         acc: dict[FormTerm, Bucket] = {}
-        for term, coeff in self.terms.items():
-            g, o, f = term
+        for (g, w), coeff in self.terms.items():
             for idx in range(nvars):
                 bit = 1 << idx
-                if o & bit:
+                if w & bit:
                     continue
                 total = coeff.partial(table.names[idx])
                 if g and idx >= chart.m:
                     total = total - (coeff * y_vars[idx - chart.m]).scaled(g)
                 if not total.terms:
                     continue
-                sign = -1 if (o & (bit - 1)).bit_count() & 1 else 1
-                key = FormTerm(g, o | bit, f)
+                sign = -1 if (w & (bit - 1)).bit_count() & 1 else 1
+                key = FormTerm(g, w | bit)
                 bucket = acc.get(key)
                 if bucket is None:
                     bucket = acc[key] = Bucket()
                 accumulate_terms(bucket, total, sign)
         return Form._raw(chart, _collect(table, acc))
 
-    def substitute_fiber(self, images: Sequence["Form"], *, odd: bool = False) -> "Form":
-        """Replace each fiber generator e_(v+1) of each term, in place, by
-        the form images[v], summed over the word's generators.
+    def substitute_fiber(self, images: Sequence["Form"]) -> "Form":
+        """Replace each fiber generator e_(v+1) of each term by the form
+        images[v], summed over the word's generators: move e_(v+1) to the
+        front of the word (the sign counts the generators below it), then
+        multiply the rest by the image from the left.
 
+        This is the derivation of the algebra sending e_(v+1) to images[v],
+        odd for images of even parity (the contraction's y_k, the
+        connection's dx e) and even for odd ones (the endomorphism's e).
         Image terms carry at most one fiber generator; only the images of
-        generators that occur in the form are read. The sign is the
-        parity of moving e_(v+1) from its slot to the front of the fiber
-        word, times that of sorting the image's generator into the rest of
-        the word, times that of pulling the image's one-form word to the
-        front of the term's; nothing in the image crosses the fiber word.
-        ``odd`` adds a global (-1)^(form degree), for an operator that
-        anticommutes past the one-form word. Gaussian weights add.
+        generators that occur in the form are read. Gaussian weights add.
         """
         chart = self.chart
         if len(images) != chart.n:
             raise ValueError(f"need one image per fiber generator, {chart.n} in all")
+        first, fiber_mask = chart.one_form_count, chart.fiber_mask
         used = 0
         for term in self.terms:
-            used |= term.fiber_gens
+            used |= term.word
         parts = []
         for v, image in enumerate(images):
             self._check_chart(image)
             part = []
-            if used >> v & 1:
-                for (g2, o2, f2), c2 in image.terms.items():
+            if used >> (first + v) & 1:
+                for (g2, w2), c2 in image.terms.items():
+                    f2 = w2 >> first
                     if f2 & (f2 - 1):
                         raise ValueError("a fiber image term carries more than one fiber generator")
-                    part.append((g2, o2, f2, f2 - 1 if f2 else 0, c2))
+                    part.append((g2, w2, c2))
             parts.append(part)
         acc: dict[FormTerm, Bucket] = {}
-        for (g, o, f), coeff in self.terms.items():
-            flip = o.bit_count() & 1 if odd else 0
-            for bit in _bits(f):
-                rest = f ^ bit
-                slot = flip ^ (f & (bit - 1)).bit_count() & 1
-                for g2, o2, f2, below, c2 in parts[bit.bit_length() - 1]:
-                    if o2 & o or f2 & rest:
+        for (g, w), coeff in self.terms.items():
+            for bit in _bits(w & fiber_mask):
+                rest = w ^ bit
+                front = -1 if (w & (bit - 1)).bit_count() & 1 else 1
+                for g2, w2, c2 in parts[bit.bit_length() - 1 - first]:
+                    if w2 & rest:
                         continue
-                    sign = -1 if (slot ^ (rest & below).bit_count()) & 1 else 1
-                    if o2:
-                        sign *= merge_sign(o2, o)
-                    key = FormTerm(g + g2, o | o2, rest | f2)
+                    key = FormTerm(g + g2, w2 | rest)
                     bucket = acc.get(key)
                     if bucket is None:
                         bucket = acc[key] = Bucket()
-                    accumulate_product(bucket, coeff, c2, sign)
+                    accumulate_product(bucket, coeff, c2, front * merge_sign(w2, rest))
         return Form._raw(chart, _collect(chart.table, acc))
 
     def contract_tautological(self) -> "Form":
         """Interior product with the position section sum_k y_k e_k: each
-        fiber generator e_k is replaced by y_k, as an odd operator, so the
-        contraction anticommutes past the one-form word."""
-        return self.substitute_fiber(_position_images(self.chart), odd=True)
+        fiber generator e_k is replaced by the even y_k, so the contraction
+        is odd and anticommutes past the one-form word."""
+        return self.substitute_fiber(_position_images(self.chart))
 
     def fiber_coefficient(self, word: int) -> "Form":
-        """Coefficient of the fiber word ``word`` (a bit mask): the terms
-        carrying exactly that word, with the word stripped."""
-        return Form._raw(self.chart, {FormTerm(g, o, 0): c for (g, o, f), c in self.terms.items() if f == word})
+        """Coefficient of the fiber word ``word`` (a bit mask of fiber
+        generators): the terms carrying exactly that word, with the word
+        stripped."""
+        mask = self.chart.fiber_mask
+        return Form._raw(self.chart, {FormTerm(g, w ^ word): c for (g, w), c in self.terms.items() if w & mask == word})
 
     def berezin(self) -> "Form":
         """Coefficient of the full fiber word e1^..^en; all other terms die."""
-        return self.fiber_coefficient(self.chart.fiber_full)
+        return self.fiber_coefficient(self.chart.fiber_mask)
 
     def fiber_degree_part(self, degree: int) -> "Form":
         """The terms whose fiber word has ``degree`` generators."""
-        return Form._raw(self.chart, {t: c for t, c in self.terms.items() if t.fiber_gens.bit_count() == degree})
+        mask = self.chart.fiber_mask
+        return Form._raw(self.chart, {t: c for t, c in self.terms.items() if (t.word & mask).bit_count() == degree})
 
     def on_fiber_word(self, word: int) -> "Form":
         """This fiber-free form with the fiber word ``word`` (a bit mask)
-        attached to every term; no sign arises."""
+        appended to every term; no sign arises."""
         chart = self.chart
-        if word & ~chart.fiber_full:
+        mask = chart.fiber_mask
+        if word & ~mask:
             raise ValueError(f"fiber word {word:#b} does not fit chart {chart}")
         terms = {}
-        for (g, o, f), coeff in self.terms.items():
-            if f:
+        for (g, w), coeff in self.terms.items():
+            if w & mask:
                 raise ValueError("form already carries a fiber word")
-            terms[FormTerm(g, o, word)] = coeff
+            terms[FormTerm(g, w | word)] = coeff
         return Form._raw(chart, terms)
 
     def fiber_integral(self) -> "Form":
@@ -460,16 +449,16 @@ class Form:
         dy_mask = chart.dy_mask
         fiber_vars = [f"y{j}" for j in range(1, chart.n + 1)]
         buckets: dict[FormTerm, Bucket] = {}
-        for (g, o, f), coeff in self.terms.items():
-            if o & dy_mask != dy_mask:
+        for (g, w), coeff in self.terms.items():
+            if w & dy_mask != dy_mask:
                 continue
-            if f:
+            if w & chart.fiber_mask:
                 raise ValueError("cannot integrate a term still carrying fiber generators")
             if g == 0:
                 raise ValueError("divergent fiber integral: full dy word with no Gaussian weight")
             if g != 1:
                 raise ValueError(f"unsupported Gaussian weight {g}: the moment table is fixed at weight 1")
-            key = FormTerm(0, o & ~dy_mask, 0)
+            key = FormTerm(0, w ^ dy_mask)
             bucket = buckets.get(key)
             if bucket is None:
                 bucket = buckets[key] = Bucket()
@@ -488,50 +477,55 @@ class Form:
     def times_gaussian(self, power: int = 1) -> "Form":
         """Multiply by exp(-power*|y|^2/2), shifting every term's weight."""
         res = {}
-        for (g, o, f), coeff in self.terms.items():
+        for (g, w), coeff in self.terms.items():
             if g + power < 0:
                 raise ValueError("Gaussian weight must stay nonnegative")
-            res[FormTerm(g + power, o, f)] = coeff
+            res[FormTerm(g + power, w)] = coeff
         return Form._raw(self.chart, res)
 
     def parity_involution(self) -> "Form":
-        """Negate terms of odd total parity (form degree plus fiber
-        degree); the grading involution used by the pair product."""
-        res = {
-            t: (-c if (t.one_forms.bit_count() + t.fiber_gens.bit_count()) & 1 else c)
-            for t, c in self.terms.items()
-        }
-        return Form._raw(self.chart, res)
+        """Negate terms of odd word length (form degree plus fiber degree);
+        the grading involution used by the pair product."""
+        return Form._raw(self.chart, {t: -c if t.word.bit_count() & 1 else c for t, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # inspection
 
-    def is_base_form(self, degree: int | None = None) -> bool:
-        """No Gaussian weight, no fiber word, one-forms within the dx block,
-        coefficients free of fiber variables (optionally: pure degree)."""
+    def is_base_form(self, degree: int) -> bool:
+        """No Gaussian weight, a word of ``degree`` dx generators, and
+        coefficients free of fiber variables."""
         chart = self.chart
-        for (g, o, f), coeff in self.terms.items():
-            if g or f or o & chart.dy_mask:
-                return False
-            if degree is not None and o.bit_count() != degree:
+        for (g, w), coeff in self.terms.items():
+            if g or w >> chart.m or w.bit_count() != degree:
                 return False
             if any(coeff.depends_on(f"y{j}") for j in range(1, chart.n + 1)):
                 return False
         return True
 
     def sorted_terms(self) -> list[tuple[FormTerm, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        """Terms by form degree, one-form word, fiber degree, fiber word
+        and weight."""
+        first = self.chart.one_form_count
+        one_mask = self.chart.one_form_mask
+
+        def key(item):
+            (g, w), _ = item
+            one, fiber = w & one_mask, w >> first
+            return (one.bit_count(), one, fiber.bit_count(), fiber, g)
+
+        return sorted(self.terms.items(), key=key)
 
     def to_obj(self) -> list:
         chart = self.chart
+        one_mask = chart.one_form_mask
         return [
             {
-                "gauss": term.gauss,
-                "d": chart.one_form_names(term.one_forms),
-                "e": chart.fiber_names(term.fiber_gens),
+                "gauss": g,
+                "d": chart.names(w & one_mask),
+                "e": chart.names(w & ~one_mask),
                 "coeff": coeff.to_obj(),
             }
-            for term, coeff in self.sorted_terms()
+            for (g, w), coeff in self.sorted_terms()
         ]
 
     @classmethod
@@ -540,13 +534,13 @@ class Form:
             raise ValueError("form payload must be a list of term objects")
         acc: dict[FormTerm, Bucket] = {}
         for entry in obj:
-            if not isinstance(entry, dict):
-                raise ValueError(f"bad form term {entry!r}")
-            d, e = entry.get("d", []), entry.get("e", [])
+            if not (isinstance(entry, dict) and entry.keys() == _TERM_FIELDS):
+                raise ValueError(f"bad form term {entry!r}: need exactly the fields coeff, d, e, gauss")
+            d, e = entry["d"], entry["e"]
             if not (isinstance(d, list) and isinstance(e, list) and all(isinstance(x, str) for x in d + e)):
                 raise ValueError(f"bad form term {entry!r}: d and e must be lists of generator names")
-            coeff = Scalar.from_obj(chart.table, entry.get("coeff", []))
-            gauss = exact_int(entry.get("gauss", 0), f"Gaussian weight {entry.get('gauss')!r}")
+            coeff = Scalar.from_obj(chart.table, entry["coeff"])
+            gauss = exact_int(entry["gauss"], f"Gaussian weight {entry['gauss']!r}")
             single = cls.single(chart, coeff, gauss=gauss, d=d, e=e)
             for term, c in single.terms.items():
                 accumulate_terms(acc.setdefault(term, Bucket()), c, 1)
@@ -556,15 +550,16 @@ class Form:
         if not self.terms:
             return "0"
         chart = self.chart
+        one_mask = chart.one_form_mask
         parts = []
-        for term, coeff in self.sorted_terms():
+        for (g, w), coeff in self.sorted_terms():
             bits = [f"({coeff})"]
-            if term.gauss:
-                bits.append(f"G^{term.gauss}")
-            if term.one_forms:
-                bits.append("^".join(chart.one_form_names(term.one_forms)))
-            if term.fiber_gens:
-                bits.append("[" + "^".join(chart.fiber_names(term.fiber_gens)) + "]")
+            if g:
+                bits.append(f"G^{g}")
+            if w & one_mask:
+                bits.append("^".join(chart.names(w & one_mask)))
+            if w & ~one_mask:
+                bits.append("[" + "^".join(chart.names(w & ~one_mask)) + "]")
             parts.append(" ".join(bits))
         return "  +  ".join(parts)
 
@@ -594,8 +589,5 @@ def _position_images(chart: ChartSpec) -> tuple[Form, ...]:
 def tautological_section(chart: ChartSpec) -> Form:
     """The position section of the lifted bundle: sum_k y_k e_k."""
     table = chart.table
-    terms = {
-        FormTerm(0, 0, chart.fiber_bit(k)): Scalar.variable(table, f"y{k}")
-        for k in range(1, chart.n + 1)
-    }
+    terms = {FormTerm(0, chart.fiber_bit(k)): Scalar.variable(table, f"y{k}") for k in range(1, chart.n + 1)}
     return Form._raw(chart, terms)

@@ -294,7 +294,8 @@ def random_form(
         )
         if coeff.is_zero:
             continue
-        total = total + Form(chart, {FormTerm(gauss, one_mask, fiber_mask): coeff})
+        word = one_mask | fiber_mask << chart.one_form_count
+        total = total + Form(chart, {FormTerm(gauss, word): coeff})
     return total
 
 

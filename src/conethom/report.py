@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import thom
 from .classical import classical_degeneration_residual
 from .cone import ConePair, cone_covariant, cone_d
-from .forms import Form, term_sort_key
+from .forms import Form
 from .instances import fingerprint, random_form, random_pair
 from .thom import ConnectionData
 
@@ -64,14 +64,15 @@ class VerificationReport:
 
 
 def _form_residual_payload(form: Form, component: str, context: str | None = None) -> dict:
-    term, coeff = min(form.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+    term, coeff = form.sorted_terms()[0]
     chart = form.chart
+    one_mask = chart.one_form_mask
     payload = {
         "component": component,
         "term": {
             "gauss": term.gauss,
-            "d": chart.one_form_names(term.one_forms),
-            "e": chart.fiber_names(term.fiber_gens),
+            "d": chart.names(term.word & one_mask),
+            "e": chart.names(term.word & ~one_mask),
         },
         "coeff": coeff.to_obj(),
         "pretty": str(coeff),
@@ -128,12 +129,12 @@ def _run_berezin_commute(data: ConnectionData, rng: random.Random, counters: dic
     for i in range(trials):
         pair = random_pair(rng, data.chart, base_only=True)
         lhs = cone_d(pair.berezin(), data.omega, check=False)
-        rhs = cone_covariant(data.eta, data.phi, data.omega, pair, check=False).berezin()
+        rhs = cone_covariant(data.eta, data.phi, data.omega, pair).berezin()
         yield lhs - rhs, f"base-pair trial {i}"
     for i in range(trials):
         pair = random_pair(rng, data.chart, max_gauss=2)
         lhs = cone_d(pair.berezin(), data.omega, check=False)
-        full = cone_covariant(data.eta, data.phi, data.omega, pair, check=False)
+        full = cone_covariant(data.eta, data.phi, data.omega, pair)
         rhs = (full + pair.contract_tautological()).berezin()
         yield lhs - rhs, f"total-space trial {i}"
 
@@ -167,9 +168,10 @@ def _run_rho(data: ConnectionData, rng: random.Random, counters: dict, trials: i
     mus = [Form.zero(chart)]
     for _ in range(3):
         mus.append(random_form(rng, chart, terms=2, with_fiber=False))
-    # keep only one-form terms: random_form may emit mixed degrees
+    # keep only one-form terms: random_form may emit mixed degrees (and
+    # with_fiber=False leaves the words without fiber generators)
     mus = [
-        Form(chart, {t: c for t, c in mu.terms.items() if t.one_forms.bit_count() == 1 and not t.gauss})
+        Form(chart, {t: c for t, c in mu.terms.items() if t.word.bit_count() == 1 and not t.gauss})
         for mu in mus
     ]
     counters["trials"] = len(mus) * trials

@@ -34,6 +34,7 @@ Fused sums of products go through a :class:`Bucket` and the raw helpers
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -45,17 +46,16 @@ S_NAME = "s"
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+# the instance schema's rational: ASCII digits, an optional minus on p only
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def rational_from_str(text: str) -> Fraction:
     """Parse the canonical ``p/q`` notation (q required and positive)."""
-    if not isinstance(text, str) or "/" not in text:
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"rational must look like 'p/q', got {text!r}")
-    num, _, den = text.partition("/")
-    try:
-        p, q = int(num), int(den)
-    except ValueError as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+    p, q = int(match[1]), int(match[2])
     if q <= 0:
         raise ValueError(f"rational denominator must be positive in {text!r}")
     return Fraction(p, q)
@@ -407,6 +407,8 @@ class Scalar:
             if not isinstance(mdict, dict):
                 raise ValueError(f"bad monomial {mdict!r}")
             key = table.pack_powers(mdict)
+            if 0 in (e for name, e in mdict.items() if name != S_NAME):
+                raise ValueError(f"bad monomial {mdict!r}: a file lists only the variables a monomial carries")
             acc[key] = acc.get(key, 0) + rational_from_str(coeff_str)
         return cls._raw(table, *_from_fractions(acc))
 

@@ -196,20 +196,19 @@ def gaussian_exponential(exponent: ConePair, *, stats: dict | None = None) -> Co
     """
     chart = exponent.chart
     scalar_part = Scalar.zero(chart.table)
-    for (g, o, f), coeff in exponent.first.terms.items():
+    for (g, w), coeff in exponent.first.terms.items():
         if g:
             raise ValueError("malformed exponent: terms may not carry Gaussian weight")
-        if not o and not f:
+        if not w:
             scalar_part = scalar_part + coeff
-    for (g, o, f), coeff in exponent.second.terms.items():
-        if g:
-            raise ValueError("malformed exponent: terms may not carry Gaussian weight")
+    if any(g for g, _ in exponent.second.terms):
+        raise ValueError("malformed exponent: terms may not carry Gaussian weight")
     if scalar_part != _half_norm(chart):
         raise ValueError("malformed exponent: scalar part is not half the squared fiber norm")
     remainder = exponent - ConePair(Form.from_scalar(chart, scalar_part), Form.zero(chart))
     for component in (remainder.first, remainder.second):
         for term in component.terms:
-            if not term.fiber_gens:
+            if not term.word & chart.fiber_mask:
                 raise ValueError("malformed exponent: remainder must raise the fiber degree")
     neg = -remainder
     total = ConePair.unit(chart)
@@ -236,7 +235,8 @@ class ThomForm:
     """Normalized Berezin integral of the Gaussian exponential.
 
     The first component is homogeneous of degree rank, the second of
-    degree rank - 1, and every term carries Gaussian weight exactly 1.
+    degree rank - 1, with no fiber word, and every term carries Gaussian
+    weight exactly 1.
     """
 
     pair: ConePair
@@ -248,7 +248,7 @@ class ThomForm:
             for term in component.terms:
                 if term.gauss != 1:
                     raise ValueError("Thom representative term without unit Gaussian weight")
-                if term.one_forms.bit_count() != degree:
+                if term.word.bit_count() != degree:
                     raise ValueError("Thom representative has a term of unexpected degree")
 
     @property
@@ -322,7 +322,7 @@ def transgression_primitive(data: ConnectionData) -> ConePair:
 def bianchi_residual(data: ConnectionData) -> ConePair:
     """Covariant derivative of the structure-form pair."""
     q_form, s_form = _derived(data, "structure", structure_forms)
-    return cone_covariant(data.eta, data.phi, data.omega, ConePair(q_form, s_form), check=False)
+    return cone_covariant(data.eta, data.phi, data.omega, ConePair(q_form, s_form))
 
 
 def structure_cross_residual(data: ConnectionData) -> ConePair:
@@ -348,7 +348,7 @@ def exponent_contraction_residual(data: ConnectionData) -> ConePair:
     """(covariant derivative + contraction) of the exponent pair."""
     a = _derived(data, "exponent", thom_exponent)
     return (
-        cone_covariant(data.eta, data.phi, data.omega, a, check=False)
+        cone_covariant(data.eta, data.phi, data.omega, a)
         + a.contract_tautological()
     )
 
@@ -375,7 +375,7 @@ def variation_derivative_residual(data: ConnectionData) -> ConePair:
     of the structure-form pair."""
     y_form, z_form = variation_forms(data)
     q_form, s_form = _derived(data, "structure", structure_forms)
-    lhs = cone_covariant(data.eta, data.phi, data.omega, ConePair(y_form, z_form), check=False)
+    lhs = cone_covariant(data.eta, data.phi, data.omega, ConePair(y_form, z_form))
     rhs = ConePair(q_form.t_derivative(), s_form.t_derivative())
     return lhs - rhs
 
@@ -387,7 +387,7 @@ def exponent_variation_residual(data: ConnectionData) -> ConePair:
     y_form, z_form = variation_forms(data)
     yz = ConePair(y_form, z_form)
     return a.t_derivative() + (
-        cone_covariant(data.eta, data.phi, data.omega, yz, check=False)
+        cone_covariant(data.eta, data.phi, data.omega, yz)
         + yz.contract_tautological()
     )
 

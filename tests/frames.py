@@ -18,10 +18,10 @@ def rotate_frame(form: Form, matrix) -> Form:
         for i in range(n)
     ]
     out = Form.zero(chart)
-    for term, coeff in form.terms.items():
-        piece = Form.single(chart, coeff, gauss=term.gauss, d=chart.one_form_names(term.one_forms))
+    for (gauss, word), coeff in form.terms.items():
+        piece = Form.single(chart, coeff, gauss=gauss, d=chart.names(word & chart.one_form_mask))
         for i in range(n):
-            if term.fiber_gens >> i & 1:
+            if word & chart.fiber_bit(i + 1):
                 piece = piece.wedge(images[i])
         out = out + piece
     return out

@@ -250,10 +250,7 @@ def _law_trials(chart, law, rng):
             b = random_form(rng, chart, terms=1, max_gauss=1)
             if a.terms and b.terms:
                 break
-        parity = lambda f: (
-            next(iter(f.terms)).one_forms.bit_count()
-            + next(iter(f.terms)).fiber_gens.bit_count()
-        ) & 1
+        parity = lambda f: next(iter(f.terms)).word.bit_count() & 1
         sign = -1 if parity(a) and parity(b) else 1
         return a.wedge(b) == b.wedge(a).scale(sign)
     if law == "d-squared":
@@ -267,7 +264,7 @@ def _law_trials(chart, law, rng):
         a = random_form(rng, chart, terms=2, with_fiber=False, max_gauss=1)
         a = Form(
             chart,
-            {t: c for t, c in a.terms.items() if t.one_forms.bit_count() == degree},
+            {t: c for t, c in a.terms.items() if t.word.bit_count() == degree},
         )
         b = random_form(rng, chart, terms=2, with_fiber=False, max_gauss=1)
         lhs = a.wedge(b).d()

@@ -38,6 +38,15 @@ def test_gen_then_check_instance(tmp_path, capsys):
     assert "CHECK bianchi" in out and "CHECK qs-cross" in out
 
 
+def _omega_name(name):
+    return lambda o: o["omega"][0]["d"].__setitem__(0, name)
+
+
+def _omega_coeff(text):
+    # any base 2-form is closed at m = 2, so only the text is at fault
+    return lambda o: o["omega"][0]["coeff"][0].__setitem__(1, text)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -51,6 +60,18 @@ def test_gen_then_check_instance(tmp_path, capsys):
         pytest.param(lambda o: o["omega"][0].__setitem__("gauss", 0.5), "weight 0.5 is not an integer", id="float-gauss"),
         pytest.param(lambda o: o["omega"][0]["coeff"][0].__setitem__(1, 3), "must look like 'p/q'", id="coeff-not-string"),
         pytest.param(lambda o: o.__setitem__("colour", 1), "unknown instance file fields ['colour']", id="unknown-top-level-key"),
+        *(
+            pytest.param(_omega_name(name), f"unknown one-form generator {name!r}", id=f"name-{name}")
+            for name in ("dx+1", "dx 1", "dx\uff11", "dx1_0", "dx0_1")
+        ),
+        *(
+            pytest.param(_omega_coeff(text), f"must look like 'p/q', got {text!r}", id=f"rational-{text}")
+            for text in ("+3/4", " 3/4", "3/ 4", "\uff13/4", "3/+4", "3_0/4")
+        ),
+        pytest.param(
+            lambda o: o["omega"][0]["coeff"][0].__setitem__(0, {"x1": 0}), "lists only the variables", id="zero-exponent"
+        ),
+        pytest.param(lambda o: o["omega"][0].pop("gauss"), "need exactly the fields", id="term-without-gauss"),
     ],
 )
 def test_corrupted_instance_exits_two(tmp_path, capsys, corrupt, message):

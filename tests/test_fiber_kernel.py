@@ -1,12 +1,17 @@
-"""The one fiber-substitution kernel, ``Form.substitute_fiber``.
+"""The one fiber-substitution kernel, ``Form.substitute_fiber``, and the
+one-word product rule.
 
-Its callers are the tautological contraction and the derivation of the
-connection and endomorphism matrices. Each is compared with the
-hand-written loop it replaced, kept here as a reference, and each sign
-the callers choose is shown to matter to the check suite.
+The kernel's callers are the tautological contraction and the derivation
+of the connection and endomorphism matrices. Each is compared with a
+hand-written loop over terms stored as two masks, a one-form word ``o``
+and a fiber word ``f``, and ``Form.wedge`` with the two-mask product rule,
+which needs a separate crossing sign. The loops are kept here as
+references, behind an adapter between ``(g, word)`` and ``(g, o, f)``.
+Each sign the callers choose is shown to matter to the check suite.
 """
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +26,29 @@ from conethom.scalars import Bucket, Scalar, accumulate_product
 CHARTS = (ChartSpec(2, 3), ChartSpec(3, 4))
 
 
+class TwoMaskTerm(NamedTuple):
+    gauss: int
+    one_forms: int
+    fiber_gens: int
+
+
+def two_masks(form):
+    """The terms of a form keyed by (weight, one-form word, fiber word)."""
+    first = form.chart.one_form_count
+    mask = form.chart.one_form_mask
+    return {TwoMaskTerm(g, w & mask, w >> first): c for (g, w), c in form.terms.items()}
+
+
+def from_two_masks(chart, terms):
+    first = chart.one_form_count
+    return Form._raw(chart, {FormTerm(g, o | f << first): c for (g, o, f), c in terms.items()})
+
+
 def reference_replace_fiber(chart, form, entries):
     """Matrix derivation loop: e_(v+1) -> sum_l entries[l][v] e_(l+1)."""
     n = chart.n
     acc = {}
-    for (g, o, f), coeff in form.terms.items():
+    for (g, o, f), coeff in two_masks(form).items():
         rest = f
         while rest:
             v_bit = rest & -rest
@@ -40,15 +63,15 @@ def reference_replace_fiber(chart, form, entries):
                 c_l = (f_rest & (l_bit - 1)).bit_count()
                 sign0 = -1 if (c_l - jm1) & 1 else 1
                 new_f = f_rest | l_bit
-                for (_, o2, _), c2 in entries[l][v].terms.items():
+                for (_, o2, _), c2 in two_masks(entries[l][v]).items():
                     if o2 & o:
                         continue
-                    key = FormTerm(g, o2 | o, new_f)
+                    key = TwoMaskTerm(g, o2 | o, new_f)
                     bucket = acc.get(key)
                     if bucket is None:
                         bucket = acc[key] = Bucket()
                     accumulate_product(bucket, coeff, c2, sign0 * merge_sign(o2, o))
-    return Form._raw(chart, _collect(chart.table, acc))
+    return from_two_masks(chart, _collect(chart.table, acc))
 
 
 def reference_contract(form):
@@ -57,7 +80,7 @@ def reference_contract(form):
     table = chart.table
     y_vars = [Scalar.variable(table, f"y{j}") for j in range(1, chart.n + 1)]
     acc = {}
-    for (g, o, f), coeff in form.terms.items():
+    for (g, o, f), coeff in two_masks(form).items():
         if not f:
             continue
         base_sign = -1 if o.bit_count() & 1 else 1
@@ -68,12 +91,37 @@ def reference_contract(form):
             sign = base_sign
             if (f & (bit - 1)).bit_count() & 1:
                 sign = -sign
-            key = FormTerm(g, o, f ^ bit)
+            key = TwoMaskTerm(g, o, f ^ bit)
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = Bucket()
             accumulate_product(bucket, coeff, y_vars[bit.bit_length() - 1], sign)
-    return Form._raw(chart, _collect(table, acc))
+    return from_two_masks(chart, _collect(table, acc))
+
+
+def reference_wedge(a, b):
+    """Two-mask product rule: the sign merging the one-form words, times
+    the sign merging the fiber words, times (-1)^(left fiber degree *
+    right form degree) for the right one-form word crossing the left
+    fiber word."""
+    chart = a.chart
+    acc = {}
+    for t1, c1 in two_masks(a).items():
+        g1, o1, f1 = t1
+        f1_odd = f1.bit_count() & 1
+        for t2, c2 in two_masks(b).items():
+            g2, o2, f2 = t2
+            if o1 & o2 or f1 & f2:
+                continue
+            sign = merge_sign(o1, o2) * merge_sign(f1, f2)
+            if f1_odd and o2.bit_count() & 1:
+                sign = -sign
+            key = TwoMaskTerm(g1 + g2, o1 | o2, f1 | f2)
+            bucket = acc.get(key)
+            if bucket is None:
+                bucket = acc[key] = Bucket()
+            accumulate_product(bucket, c1, c2, sign)
+    return from_two_masks(chart, _collect(chart.table, acc))
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,23 +141,38 @@ def test_contraction_matches_the_reference_loop(chart, form_seed):
     assert form.contract_tautological() == reference_contract(form)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHARTS), st.integers(0, 2**32))
+def test_wedge_matches_the_two_mask_rule(chart, form_seed):
+    rng = random.Random(form_seed)
+    a = random_form(rng, chart, terms=4, max_gauss=1)
+    b = random_form(rng, chart, terms=4, max_gauss=1)
+    assert a.wedge(b) == reference_wedge(a, b)
+    assert b.wedge(a) == reference_wedge(b, a)
+
+
 def test_substitute_fiber_signs_on_single_terms():
     chart = ChartSpec(2, 3)
     e = [Form.fiber(chart, k) for k in (1, 2, 3)]
-    dx1 = Form.dx(chart, 1)
+    dx1 = Form.single(chart, 1, d=("dx1",))
     zero = Form.zero(chart)
-    # e1 -> dx1 e3: the image's generator sorts past e2, and dx1 moves to the front
-    images = [dx1.wedge(e[2]), zero, zero]
     word = Form.single(chart, 1, d=("dx2",), e=("e1", "e2"))
+    # e1 -> dx1 e3: e1 passes dx2 to the front; then e3 sorts past dx2 and e2
+    images = [dx1.wedge(e[2]), zero, zero]
     assert word.substitute_fiber(images) == Form.single(chart, -1, d=("dx1", "dx2"), e=("e2", "e3"))
-    # e2 -> 1 with the odd sign: e2 leaves slot 2, and the one-form degree is 1
+    # e2 -> e3: e2 passes dx2 and e1, then e3 passes them back
+    images = [zero, e[2], zero]
+    assert word.substitute_fiber(images) == Form.single(chart, 1, d=("dx2",), e=("e1", "e3"))
+    # e2 -> 1: e2 passes dx2 and e1, and the image is even
     images = [zero, Form.one(chart), zero]
-    assert word.substitute_fiber(images, odd=True) == Form.single(chart, 1, d=("dx2",), e=("e1",))
-    assert word.substitute_fiber(images) == Form.single(chart, -1, d=("dx2",), e=("e1",))
+    assert word.substitute_fiber(images) == Form.single(chart, 1, d=("dx2",), e=("e1",))
+    # e1 -> 1: e1 passes dx2 only
+    images = [Form.one(chart), zero, zero]
+    assert word.substitute_fiber(images) == Form.single(chart, -1, d=("dx2",), e=("e2",))
     # Gaussian weights add
     images = [zero, Form.one(chart).times_gaussian(1), zero]
     heavy = word.times_gaussian(2)
-    assert heavy.substitute_fiber(images) == Form.single(chart, -1, gauss=3, d=("dx2",), e=("e1",))
+    assert heavy.substitute_fiber(images) == Form.single(chart, 1, gauss=3, d=("dx2",), e=("e1",))
 
 
 def test_substitute_fiber_refuses_bad_images():
@@ -123,14 +186,24 @@ def test_substitute_fiber_refuses_bad_images():
         word.substitute_fiber([Form.one(ChartSpec(1, 2)), Form.zero(ChartSpec(1, 2))])
 
 
+def one_form_parity(form):
+    """(-1)^(form degree) on every term."""
+    mask = form.chart.one_form_mask
+    return Form(form.chart, {t: -c if (t.word & mask).bit_count() & 1 else c for t, c in form.terms.items()})
+
+
+# each mutant flips the kernel's sign by the one-form parity of its input:
+# the contraction turns even, the matrix derivations odd
+_CONTRACT = Form.contract_tautological
+_DERIVATION = _SkewMatrix.derivation
+
+
 def _even_contraction(self):
-    chart = self.chart
-    images = [Form.from_scalar(chart, Scalar.variable(chart.table, f"y{k}")) for k in range(1, chart.n + 1)]
-    return self.substitute_fiber(images, odd=False)
+    return _CONTRACT(one_form_parity(self))
 
 
 def _odd_derivation(self, form):
-    return form.substitute_fiber(self._images, odd=True)
+    return _DERIVATION(self, one_form_parity(form))
 
 
 MUTANTS = {
