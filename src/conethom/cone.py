@@ -1,13 +1,16 @@
 """Mapping cone pairs over the form algebra.
 
-A ConePair (a, b) models a degree-i element of the two-term complex
-Omega^i + Omega^(i-1). The product, differential, covariant derivative,
-contraction and Berezin integral act with the sign conventions fixed
-below; second components never multiply each other.
-
-Pairs are implemented directly with componentwise rules rather than by
-adjoining a formal odd generator; the grading bookkeeping is per term, so
-no degree field is stored and components may be inhomogeneous.
+A ConePair (a, b) models an element of the two-term complex
+Omega^i + Omega^(i-1). It is the form a + theta b, with theta the odd
+generator of :mod:`conethom.forms` (theta^2 = 0, d(theta) = omega), so the
+form algebra's own rules give the pair product, the contraction, the
+Berezin integral and the fiber integral with the mapping cone's signs:
+second components never multiply each other, and the contraction and
+the exterior derivative negate the second slot. Only the twist is the
+cone's own: the cone differential adds omega ^ b for d(theta) b, and the
+cone covariant derivative adds theta ^ phi(a) too. The grading
+bookkeeping is per term, so no degree field is stored and components may
+be inhomogeneous.
 
 The connection and the endomorphism are skew matrices that act on fiber
 words through ``Form.substitute_fiber``, the kernel the tautological
@@ -18,96 +21,41 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .forms import ChartSpec, Form
+from .forms import THETA, ChartSpec, Form
 from .scalars import Scalar
 
 
-class ConePair:
-    """Ordered pair of forms; immutable by convention."""
+class ConePair(Form):
+    """The form first + theta ^ second; immutable by convention. Every
+    operation is the form algebra's; its results, and sums with a pair on
+    the left, are pairs again."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ()
 
     def __init__(self, first: Form, second: Form):
         if first.chart != second.chart:
             raise ValueError("pair components live on different charts")
-        self.first = first
-        self.second = second
+        if any(t.word & THETA for t in first.terms):
+            raise ValueError("pair components may not carry theta")
+        self.chart = first.chart
+        self.terms = {**first.terms, **second.times_theta().terms}
 
     @property
-    def chart(self) -> ChartSpec:
-        return self.first.chart
-
-    @classmethod
-    def zero(cls, chart: ChartSpec) -> "ConePair":
-        z = Form.zero(chart)
-        return cls(z, z)
-
-    @classmethod
-    def unit(cls, chart: ChartSpec) -> "ConePair":
-        return cls(Form.one(chart), Form.zero(chart))
-
-    def __add__(self, other: "ConePair") -> "ConePair":
-        return ConePair(self.first + other.first, self.second + other.second)
-
-    def __sub__(self, other: "ConePair") -> "ConePair":
-        return ConePair(self.first - other.first, self.second - other.second)
-
-    def __neg__(self) -> "ConePair":
-        return ConePair(-self.first, -self.second)
-
-    def scale(self, value) -> "ConePair":
-        return ConePair(self.first.scale(value), self.second.scale(value))
+    def first(self) -> Form:
+        return self.theta_slots()[0]
 
     @property
-    def is_zero(self) -> bool:
-        return self.first.is_zero and self.second.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConePair):
-            return NotImplemented
-        return self.first == other.first and self.second == other.second
-
-    def wedge(self, other: "ConePair") -> "ConePair":
-        """Pair product.
-
-        First slot: plain graded product of the first components. Second
-        slot: (second * first) plus (first * second) with the left first
-        component twisted by its total parity, which accounts for the odd
-        degree shift carried by the second slot. Equivalently this is the
-        graded algebra with one adjoined odd generator spanning the second
-        slot; in particular the product is associative and the covariant
-        derivative, the differential and the contraction are odd
-        derivations for it. Second components never meet.
-        """
-        first = self.first.wedge(other.first)
-        second = self.second.wedge(other.first) + self.first.parity_involution().wedge(other.second)
-        return ConePair(first, second)
-
-    def contract_tautological(self) -> "ConePair":
-        """Extended contraction: plain on the first slot, negated on the
-        second, keeping the pair product and differential compatible."""
-        return ConePair(
-            self.first.contract_tautological(),
-            -self.second.contract_tautological(),
-        )
-
-    def berezin(self) -> "ConePair":
-        return ConePair(self.first.berezin(), self.second.berezin())
-
-    def t_derivative(self) -> "ConePair":
-        return ConePair(self.first.t_derivative(), self.second.t_derivative())
-
-    def times_gaussian(self, power: int = 1) -> "ConePair":
-        return ConePair(self.first.times_gaussian(power), self.second.times_gaussian(power))
+    def second(self) -> Form:
+        return self.theta_slots()[1]
 
     def to_obj(self) -> dict:
-        return {"first": self.first.to_obj(), "second": self.second.to_obj()}
+        first, second = self.theta_slots()
+        return {"first": first.to_obj(), "second": second.to_obj()}
 
-    def __str__(self) -> str:
-        return f"({self.first}, {self.second})"
-
-    def __repr__(self) -> str:
-        return f"ConePair{self}"
+    def wedge(self, other: Form) -> "ConePair":
+        """Pair product: the graded product of a + theta b and c + theta e,
+        (ac, bc + (-1)^|a| ae) since theta^2 = 0."""
+        return Form.wedge(self, other)
 
 
 def validate_twist_form(omega: Form) -> None:
@@ -122,7 +70,8 @@ def validate_twist_form(omega: Form) -> None:
 
 
 def cone_d(pair: ConePair, omega: Form, *, check: bool = True) -> ConePair:
-    """Differential of the twisted two-term complex: (da + omega^b, -db).
+    """Differential of the twisted two-term complex: (da + omega^b, -db),
+    the exterior derivative of a + theta b with d(theta) = omega.
 
     ``check=False`` skips the twist-form validation; that path exists for
     the negative-control harness and for conjugation identities where the
@@ -130,7 +79,7 @@ def cone_d(pair: ConePair, omega: Form, *, check: bool = True) -> ConePair:
     """
     if check:
         validate_twist_form(omega)
-    return ConePair(pair.first.d() + omega.wedge(pair.second), -pair.second.d())
+    return pair.d() + omega.wedge(pair.second)
 
 
 class _SkewMatrix:
@@ -254,10 +203,9 @@ def cone_covariant(
     pair: ConePair,
 ) -> ConePair:
     """Covariant derivative of the twisted two-term complex:
-    (covariant d of a + omega ^ b, derivation of a - covariant d of b).
-    The twist is not validated here: the residuals run it on deliberately
-    broken instances too."""
-    return ConePair(
-        eta.covariant_d(pair.first) + omega.wedge(pair.second),
-        phi.derivation(pair.first) - eta.covariant_d(pair.second),
-    )
+    (covariant d of a + omega ^ b, derivation of a - covariant d of b),
+    the covariant derivative of a + theta b with d(theta) = omega, plus
+    theta ^ phi(a). The twist is not validated here: the residuals run it
+    on deliberately broken instances too."""
+    a, b = pair.theta_slots()
+    return eta.covariant_d(pair) + omega.wedge(b) + phi.derivation(a).times_theta()

@@ -5,14 +5,21 @@ A form is a sparse sum of terms
     c * exp(-g*|y|^2/2) * (generator word)
 
 with c an exact polynomial Scalar, g a nonnegative integer weight and the
-word an ordered subset of the odd generators dx1..dxm, dy1..dyn of the
-one-forms and e1..en of the lifted orthonormal frame, all in one
-graded-commutative algebra. A word is stored as one bit mask in the
-canonical order dx1 < .. < dxm < dy1 < .. < dyn < e1 < .. < en, lowest bit
-first. Every permutation sign in the algebra is the parity of sorting a
-concatenation of words into that order (:func:`merge_sign`), so there is a
-single source of truth for signs; the crossing of a fiber word by a
-one-form needs no rule of its own.
+word an ordered subset of the odd generators: the mapping cone's theta,
+dx1..dxm, dy1..dyn of the one-forms and e1..en of the lifted orthonormal
+frame, all in one graded-commutative algebra. A word is stored as one bit
+mask in the canonical order theta < dx1 < .. < dxm < dy1 < .. < dyn < e1 <
+.. < en, lowest bit first. Every permutation sign in the algebra is the
+parity of sorting a concatenation of words into that order
+(:func:`merge_sign`), so there is a single source of truth for signs; the
+crossing of a fiber word by a one-form needs no rule of its own.
+
+Theta (bit 0, :data:`THETA`) is the odd generator, theta^2 = 0, that makes
+the form a + theta b the mapping cone pair (a, b). This module treats it
+as a constant; its differential d(theta) = omega depends on the twist and
+is added by the cone module. Sitting below every other generator, theta
+stays put when a one-form enters a word or a fiber generator leaves it,
+and the sorting signs of those operators are the pair's signs unaided.
 
 The Gaussian weight is an integer per term rather than a coefficient
 factor because exp is not polynomial; products add weights and the
@@ -27,12 +34,14 @@ endomorphism derivations) share :meth:`Form.substitute_fiber`.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import (
+    DIGIT_LIMIT,
     Bucket,
     Scalar,
     VarTable,
@@ -63,15 +72,22 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-# generator names as the instance schema spells them: ASCII digits only
-_ONE_FORM_NAME = re.compile(r"(dx|dy)([0-9]+)")
-_FIBER_NAME = re.compile(r"e([0-9]+)")
+# the word bit of the mapping cone's odd generator theta
+THETA = 1
+
+# generator names as the instance schema spells them: ASCII digits only,
+# at most DIGIT_LIMIT of them
+_ONE_FORM_NAME = re.compile(rf"(dx|dy)([0-9]{{1,{DIGIT_LIMIT}}})")
+_FIBER_NAME = re.compile(rf"e([0-9]{{1,{DIGIT_LIMIT}}})")
 
 
 @lru_cache(maxsize=None)
 def _generator_names(m: int, n: int) -> tuple[str, ...]:
     return tuple(
-        [f"dx{i}" for i in range(1, m + 1)] + [f"dy{j}" for j in range(1, n + 1)] + [f"e{k}" for k in range(1, n + 1)]
+        ["theta"]
+        + [f"dx{i}" for i in range(1, m + 1)]
+        + [f"dy{j}" for j in range(1, n + 1)]
+        + [f"e{k}" for k in range(1, n + 1)]
     )
 
 
@@ -80,7 +96,7 @@ class ChartSpec:
     """Dimensions of one trivialized chart: base R^m, fiber R^n.
 
     Bit p of a generator word is the p-th generator of
-    dx1..dxm, dy1..dyn, e1..en.
+    theta, dx1..dxm, dy1..dyn, e1..en.
     """
 
     m: int
@@ -100,47 +116,54 @@ class ChartSpec:
 
     @property
     def one_form_count(self) -> int:
-        """The number of one-form generators, and the bit of e1."""
+        """The number of one-form generators."""
         return self.m + self.n
 
     @property
+    def fiber_shift(self) -> int:
+        """The bit of e1."""
+        return self.m + self.n + 1
+
+    @property
     def one_form_mask(self) -> int:
-        return (1 << (self.m + self.n)) - 1
+        return ((1 << (self.m + self.n)) - 1) << 1
 
     @property
     def dy_mask(self) -> int:
-        return ((1 << self.n) - 1) << self.m
+        return ((1 << self.n) - 1) << (self.m + 1)
 
     @property
     def fiber_mask(self) -> int:
-        return ((1 << self.n) - 1) << (self.m + self.n)
+        return ((1 << self.n) - 1) << self.fiber_shift
 
     def dx_bit(self, i: int) -> int:
         if not 1 <= i <= self.m:
             raise ValueError(f"dx{i} is not a generator of this chart")
-        return 1 << (i - 1)
+        return 1 << i
 
     def dy_bit(self, j: int) -> int:
         if not 1 <= j <= self.n:
             raise ValueError(f"dy{j} is not a generator of this chart")
-        return 1 << (self.m + j - 1)
+        return 1 << (self.m + j)
 
     def fiber_bit(self, k: int) -> int:
         if not 1 <= k <= self.n:
             raise ValueError(f"e{k} is not a fiber generator of this chart")
-        return 1 << (self.m + self.n + k - 1)
+        return 1 << (self.m + self.n + k)
 
     def one_form_bit(self, name: str) -> int:
         match = _ONE_FORM_NAME.fullmatch(name)
         if match is None:
-            raise ValueError(f"unknown one-form generator {name!r}")
+            raise ValueError(
+                f"unknown one-form generator {reprlib.repr(name)}: dx or dy, then 1 to {DIGIT_LIMIT} digits"
+            )
         kind, index = match.groups()
         return self.dx_bit(int(index)) if kind == "dx" else self.dy_bit(int(index))
 
     def fiber_gen_bit(self, name: str) -> int:
         match = _FIBER_NAME.fullmatch(name)
         if match is None:
-            raise ValueError(f"unknown fiber generator {name!r}")
+            raise ValueError(f"unknown fiber generator {reprlib.repr(name)}: e, then 1 to {DIGIT_LIMIT} digits")
         return self.fiber_bit(int(match[1]))
 
     def names(self, word: int) -> list[str]:
@@ -182,7 +205,7 @@ class Form:
         clean: dict[FormTerm, Scalar] = {}
         if terms:
             table = chart.table
-            limit = chart.one_form_mask | chart.fiber_mask
+            limit = THETA | chart.one_form_mask | chart.fiber_mask
             for term, coeff in terms.items():
                 if term.gauss < 0:
                     raise ValueError("Gaussian weight must be nonnegative")
@@ -268,7 +291,7 @@ class Form:
                     res[term] = tot
                 else:
                     del res[term]
-        return Form._raw(self.chart, res)
+        return self._raw(self.chart, res)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -276,7 +299,7 @@ class Form:
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form._raw(self.chart, {t: -c for t, c in self.terms.items()})
+        return self._raw(self.chart, {t: -c for t, c in self.terms.items()})
 
     def scale(self, value) -> "Form":
         """Multiply every coefficient by a Scalar (or rational constant)."""
@@ -286,11 +309,11 @@ class Form:
                 prod = c * value
                 if prod.terms:
                     res[term] = prod
-            return Form._raw(self.chart, res)
+            return self._raw(self.chart, res)
         q = exact_rational(value)
         if not q:
-            return Form.zero(self.chart)
-        return Form._raw(self.chart, {t: c.scaled(q) for t, c in self.terms.items()})
+            return self.zero(self.chart)
+        return self._raw(self.chart, {t: c.scaled(q) for t, c in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -319,7 +342,7 @@ class Form:
                 if bucket is None:
                     bucket = acc[key] = Bucket()
                 accumulate_product(bucket, c1, c2, merge_sign(w1, w2))
-        return Form._raw(self.chart, _collect(self.chart.table, acc))
+        return self._raw(self.chart, _collect(self.chart.table, acc))
 
     # ------------------------------------------------------------------
     # differential operators
@@ -330,7 +353,8 @@ class Form:
         Differentiates the coefficient in every chart variable and applies
         the chain rule to the Gaussian weight; the new one-form enters at
         the front of the word, signed by its sorted position. Fiber
-        generators sort above every one-form, so they never move.
+        generators sort above every one-form, so they never move; theta
+        sorts below, so a + theta b goes to da - theta db.
         """
         chart = self.chart
         table = chart.table
@@ -339,7 +363,7 @@ class Form:
         acc: dict[FormTerm, Bucket] = {}
         for (g, w), coeff in self.terms.items():
             for idx in range(nvars):
-                bit = 1 << idx
+                bit = 2 << idx
                 if w & bit:
                     continue
                 total = coeff.partial(table.names[idx])
@@ -353,7 +377,7 @@ class Form:
                 if bucket is None:
                     bucket = acc[key] = Bucket()
                 accumulate_terms(bucket, total, sign)
-        return Form._raw(chart, _collect(table, acc))
+        return self._raw(chart, _collect(table, acc))
 
     def substitute_fiber(self, images: Sequence["Form"]) -> "Form":
         """Replace each fiber generator e_(v+1) of each term by the form
@@ -370,7 +394,7 @@ class Form:
         chart = self.chart
         if len(images) != chart.n:
             raise ValueError(f"need one image per fiber generator, {chart.n} in all")
-        first, fiber_mask = chart.one_form_count, chart.fiber_mask
+        first, fiber_mask = chart.fiber_shift, chart.fiber_mask
         used = 0
         for term in self.terms:
             used |= term.word
@@ -398,12 +422,12 @@ class Form:
                     if bucket is None:
                         bucket = acc[key] = Bucket()
                     accumulate_product(bucket, coeff, c2, front * merge_sign(w2, rest))
-        return Form._raw(chart, _collect(chart.table, acc))
+        return self._raw(chart, _collect(chart.table, acc))
 
     def contract_tautological(self) -> "Form":
         """Interior product with the position section sum_k y_k e_k: each
         fiber generator e_k is replaced by the even y_k, so the contraction
-        is odd and anticommutes past the one-form word."""
+        is odd and anticommutes past the one-form word and theta."""
         return self.substitute_fiber(_position_images(self.chart))
 
     def fiber_coefficient(self, word: int) -> "Form":
@@ -411,7 +435,7 @@ class Form:
         generators): the terms carrying exactly that word, with the word
         stripped."""
         mask = self.chart.fiber_mask
-        return Form._raw(self.chart, {FormTerm(g, w ^ word): c for (g, w), c in self.terms.items() if w & mask == word})
+        return self._raw(self.chart, {FormTerm(g, w ^ word): c for (g, w), c in self.terms.items() if w & mask == word})
 
     def berezin(self) -> "Form":
         """Coefficient of the full fiber word e1^..^en; all other terms die."""
@@ -420,7 +444,7 @@ class Form:
     def fiber_degree_part(self, degree: int) -> "Form":
         """The terms whose fiber word has ``degree`` generators."""
         mask = self.chart.fiber_mask
-        return Form._raw(self.chart, {t: c for t, c in self.terms.items() if (t.word & mask).bit_count() == degree})
+        return self._raw(self.chart, {t: c for t, c in self.terms.items() if (t.word & mask).bit_count() == degree})
 
     def on_fiber_word(self, word: int) -> "Form":
         """This fiber-free form with the fiber word ``word`` (a bit mask)
@@ -434,14 +458,14 @@ class Form:
             if w & mask:
                 raise ValueError("form already carries a fiber word")
             terms[FormTerm(g, w | word)] = coeff
-        return Form._raw(chart, terms)
+        return self._raw(chart, terms)
 
     def fiber_integral(self) -> "Form":
         """Push a total-space form down the fiber.
 
         Only terms carrying every dy generator survive; the canonical storage
-        order already places the dx block before the dy block, so the
-        reordering sign is +1. Each fiber variable then integrates against the
+        order already places theta and the dx block before the dy block, so
+        the reordering sign is +1. Each fiber variable then integrates against the
         unit-variance Gaussian: y^(2k) contributes (2k-1)!! s and odd powers
         vanish, with one factor of s per fiber direction.
         """
@@ -463,7 +487,7 @@ class Form:
             if bucket is None:
                 bucket = buckets[key] = Bucket()
             accumulate_moments(bucket, coeff, fiber_vars, _gaussian_moment, chart.n)
-        return Form._raw(chart, _collect(chart.table, buckets))
+        return self._raw(chart, _collect(chart.table, buckets))
 
     def t_derivative(self) -> "Form":
         """Formal derivative in the family parameter t, coefficientwise."""
@@ -472,7 +496,7 @@ class Form:
             dc = coeff.partial("t")
             if dc.terms:
                 res[term] = dc
-        return Form._raw(self.chart, res)
+        return self._raw(self.chart, res)
 
     def times_gaussian(self, power: int = 1) -> "Form":
         """Multiply by exp(-power*|y|^2/2), shifting every term's weight."""
@@ -481,37 +505,46 @@ class Form:
             if g + power < 0:
                 raise ValueError("Gaussian weight must stay nonnegative")
             res[FormTerm(g + power, w)] = coeff
-        return Form._raw(self.chart, res)
+        return self._raw(self.chart, res)
 
-    def parity_involution(self) -> "Form":
-        """Negate terms of odd word length (form degree plus fiber degree);
-        the grading involution used by the pair product."""
-        return Form._raw(self.chart, {t: -c if t.word.bit_count() & 1 else c for t, c in self.terms.items()})
+    def times_theta(self) -> "Form":
+        """theta ^ self for a theta-free form: theta enters at the front of
+        every word, so no sign arises."""
+        if any(t.word & THETA for t in self.terms):
+            raise ValueError("form already carries theta")
+        return self._raw(self.chart, {FormTerm(g, w | THETA): c for (g, w), c in self.terms.items()})
+
+    def theta_slots(self) -> tuple["Form", "Form"]:
+        """(a, b) with self = a + theta ^ b, both theta-free Forms."""
+        slots: tuple[dict, dict] = ({}, {})
+        for (g, w), c in self.terms.items():
+            slots[w & THETA][FormTerm(g, w & ~THETA)] = c
+        return Form._raw(self.chart, slots[0]), Form._raw(self.chart, slots[1])
 
     # ------------------------------------------------------------------
     # inspection
 
     def is_base_form(self, degree: int) -> bool:
-        """No Gaussian weight, a word of ``degree`` dx generators, and
-        coefficients free of fiber variables."""
+        """No Gaussian weight, a word of ``degree`` dx generators and no
+        theta, and coefficients free of fiber variables."""
         chart = self.chart
         for (g, w), coeff in self.terms.items():
-            if g or w >> chart.m or w.bit_count() != degree:
+            if g or w & THETA or w >> (chart.m + 1) or w.bit_count() != degree:
                 return False
             if any(coeff.depends_on(f"y{j}") for j in range(1, chart.n + 1)):
                 return False
         return True
 
     def sorted_terms(self) -> list[tuple[FormTerm, Scalar]]:
-        """Terms by form degree, one-form word, fiber degree, fiber word
-        and weight."""
-        first = self.chart.one_form_count
+        """Terms by theta, form degree, one-form word, fiber degree, fiber
+        word and weight."""
+        first = self.chart.fiber_shift
         one_mask = self.chart.one_form_mask
 
         def key(item):
             (g, w), _ = item
             one, fiber = w & one_mask, w >> first
-            return (one.bit_count(), one, fiber.bit_count(), fiber, g)
+            return (w & THETA, one.bit_count(), one, fiber.bit_count(), fiber, g)
 
         return sorted(self.terms.items(), key=key)
 
@@ -545,26 +578,6 @@ class Form:
             for term, c in single.terms.items():
                 accumulate_terms(acc.setdefault(term, Bucket()), c, 1)
         return cls._raw(chart, _collect(chart.table, acc))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chart = self.chart
-        one_mask = chart.one_form_mask
-        parts = []
-        for (g, w), coeff in self.sorted_terms():
-            bits = [f"({coeff})"]
-            if g:
-                bits.append(f"G^{g}")
-            if w & one_mask:
-                bits.append("^".join(chart.names(w & one_mask)))
-            if w & ~one_mask:
-                bits.append("[" + "^".join(chart.names(w & ~one_mask)) + "]")
-            parts.append(" ".join(bits))
-        return "  +  ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Form({self})"
 
 
 def double_factorial(k: int) -> int:

@@ -294,7 +294,7 @@ def random_form(
         )
         if coeff.is_zero:
             continue
-        word = one_mask | fiber_mask << chart.one_form_count
+        word = one_mask << 1 | fiber_mask << chart.fiber_shift
         total = total + Form(chart, {FormTerm(gauss, word): coeff})
     return total
 

@@ -82,19 +82,12 @@ def _form_residual_payload(form: Form, component: str, context: str | None = Non
     return payload
 
 
-def residual_payload(value, context: str | None = None) -> dict | None:
-    """First nonzero term of a Form or ConePair residual, or None."""
-    if isinstance(value, ConePair):
-        if not value.first.is_zero:
-            return _form_residual_payload(value.first, "first", context)
-        if not value.second.is_zero:
-            return _form_residual_payload(value.second, "second", context)
-        return None
-    if isinstance(value, Form):
-        if not value.is_zero:
-            return _form_residual_payload(value, "first", context)
-        return None
-    raise TypeError(f"cannot extract a residual from {type(value)!r}")
+def residual_payload(value: Form, context: str | None = None) -> dict | None:
+    """First nonzero term of a residual a + theta b, from a before b, or None."""
+    for component, part in zip(("first", "second"), value.theta_slots()):
+        if not part.is_zero:
+            return _form_residual_payload(part, component, context)
+    return None
 
 
 def _check_rng(fp: str, check: str) -> random.Random:
@@ -104,7 +97,7 @@ def _check_rng(fp: str, check: str) -> random.Random:
 
 def _run_bianchi(data: ConnectionData, rng: random.Random, counters: dict):
     res = thom.bianchi_residual(data)
-    counters["residual_terms"] = len(res.first.terms) + len(res.second.terms)
+    counters["residual_terms"] = len(res.terms)
     yield res, None
 
 
@@ -141,7 +134,7 @@ def _run_berezin_commute(data: ConnectionData, rng: random.Random, counters: dic
 
 def _run_cone_pair_laws(data: ConnectionData, rng: random.Random, counters: dict, trials: int = 5):
     chart = data.chart
-    unit = ConePair.unit(chart)
+    unit = ConePair.one(chart)
     counters["trials"] = 4 * trials
     for i in range(trials):
         p = random_pair(rng, chart, max_gauss=1, terms=2)

@@ -35,6 +35,7 @@ Fused sums of products go through a :class:`Bucket` and the raw helpers
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -46,15 +47,20 @@ S_NAME = "s"
 FIELD_BITS = 16
 EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+# the longest digit run of a rational or a generator name in an instance
+# file, shorter than any interpreter's limit on int(str)
+DIGIT_LIMIT = 1000
 # the instance schema's rational: ASCII digits, an optional minus on p only
-_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_RATIONAL = re.compile(rf"(-?[0-9]{{1,{DIGIT_LIMIT}}})/([0-9]{{1,{DIGIT_LIMIT}}})")
 
 
 def rational_from_str(text: str) -> Fraction:
     """Parse the canonical ``p/q`` notation (q required and positive)."""
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f"rational must look like 'p/q', got {text!r}")
+        raise ValueError(
+            f"rational must look like 'p/q', got {reprlib.repr(text)}: p and q of 1 to {DIGIT_LIMIT} digits each"
+        )
     p, q = int(match[1]), int(match[2])
     if q <= 0:
         raise ValueError(f"rational denominator must be positive in {text!r}")
@@ -301,11 +307,6 @@ class Scalar:
         accumulate_product(bucket, self, other, 1)
         return bucket.scalar(self.table)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
     def scaled(self, value) -> "Scalar":
         q = exact_rational(value)
         if not q:
@@ -363,9 +364,6 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):

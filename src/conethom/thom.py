@@ -26,7 +26,7 @@ from .cone import (
     cone_d,
     validate_twist_form,
 )
-from .forms import ChartSpec, Form, tautological_section
+from .forms import ChartSpec, Form, FormTerm, tautological_section
 from .scalars import Scalar
 
 
@@ -195,30 +195,23 @@ def gaussian_exponential(exponent: ConePair, *, stats: dict | None = None) -> Co
     is exactly zero, and the fiber-degree bound (rank + 1) is asserted.
     """
     chart = exponent.chart
-    scalar_part = Scalar.zero(chart.table)
-    for (g, w), coeff in exponent.first.terms.items():
-        if g:
-            raise ValueError("malformed exponent: terms may not carry Gaussian weight")
-        if not w:
-            scalar_part = scalar_part + coeff
-    if any(g for g, _ in exponent.second.terms):
+    if any(g for g, _ in exponent.terms):
         raise ValueError("malformed exponent: terms may not carry Gaussian weight")
+    scalar_part = exponent.terms.get(FormTerm(0, 0), Scalar.zero(chart.table))
     if scalar_part != _half_norm(chart):
         raise ValueError("malformed exponent: scalar part is not half the squared fiber norm")
-    remainder = exponent - ConePair(Form.from_scalar(chart, scalar_part), Form.zero(chart))
-    for component in (remainder.first, remainder.second):
-        for term in component.terms:
-            if not term.word & chart.fiber_mask:
-                raise ValueError("malformed exponent: remainder must raise the fiber degree")
+    remainder = exponent - ConePair.from_scalar(chart, scalar_part)
+    if any(not term.word & chart.fiber_mask for term in remainder.terms):
+        raise ValueError("malformed exponent: remainder must raise the fiber degree")
     neg = -remainder
-    total = ConePair.unit(chart)
-    power = ConePair.unit(chart)
+    total = ConePair.one(chart)
+    power = ConePair.one(chart)
     k = 0
     max_terms = 0
     while True:
         k += 1
         power = power.wedge(neg).scale(Fraction(1, k))
-        max_terms = max(max_terms, len(power.first.terms) + len(power.second.terms))
+        max_terms = max(max_terms, len(power.terms))
         if power.is_zero:
             break
         if k > chart.n + 1:
@@ -235,8 +228,8 @@ class ThomForm:
     """Normalized Berezin integral of the Gaussian exponential.
 
     The first component is homogeneous of degree rank, the second of
-    degree rank - 1, with no fiber word, and every term carries Gaussian
-    weight exactly 1.
+    degree rank - 1, with no fiber word: every term of a + theta b has
+    degree rank. Every term carries Gaussian weight exactly 1.
     """
 
     pair: ConePair
@@ -244,16 +237,11 @@ class ThomForm:
 
     def __post_init__(self):
         n = self.pair.chart.n
-        for component, degree in ((self.pair.first, n), (self.pair.second, n - 1)):
-            for term in component.terms:
-                if term.gauss != 1:
-                    raise ValueError("Thom representative term without unit Gaussian weight")
-                if term.word.bit_count() != degree:
-                    raise ValueError("Thom representative has a term of unexpected degree")
-
-    @property
-    def chart(self) -> ChartSpec:
-        return self.pair.chart
+        for term in self.pair.terms:
+            if term.gauss != 1:
+                raise ValueError("Thom representative term without unit Gaussian weight")
+            if term.word.bit_count() != n:
+                raise ValueError("Thom representative has a term of unexpected degree")
 
 
 def thom_normalization(chart: ChartSpec) -> Scalar:
@@ -273,8 +261,7 @@ def _build_thom(data: ConnectionData) -> tuple[ThomForm, dict, ConePair | None]:
     u = ThomForm(pair=expo.berezin().scale(norm), normalization=norm)
     if not data.t_dependent:
         return u, stats, None
-    degree = data.chart.n - 2
-    return u, stats, ConePair(expo.first.fiber_degree_part(degree), expo.second.fiber_degree_part(degree))
+    return u, stats, expo.fiber_degree_part(data.chart.n - 2)
 
 
 def thom_form(data: ConnectionData) -> ThomForm:
@@ -288,7 +275,9 @@ def series_stats(data: ConnectionData) -> dict:
 
 
 def fiber_integral(pair: ConePair) -> ConePair:
-    return ConePair(pair.first.fiber_integral(), pair.second.fiber_integral())
+    """(integral of a, integral of b) for a + theta b: theta sorts below
+    the dy block, so the form's own fiber integral goes slot by slot."""
+    return pair.fiber_integral()
 
 
 def variation_forms(data: ConnectionData) -> tuple[Form, Form]:
@@ -341,7 +330,7 @@ def closedness_residual(data: ConnectionData) -> ConePair:
 def fiber_integral_residual(data: ConnectionData) -> ConePair:
     """Fiber integral of the Thom representative minus (1, 0)."""
     u = thom_form(data)
-    return fiber_integral(u.pair) - ConePair.unit(data.chart)
+    return fiber_integral(u.pair) - ConePair.one(data.chart)
 
 
 def exponent_contraction_residual(data: ConnectionData) -> ConePair:
@@ -376,8 +365,7 @@ def variation_derivative_residual(data: ConnectionData) -> ConePair:
     y_form, z_form = variation_forms(data)
     q_form, s_form = _derived(data, "structure", structure_forms)
     lhs = cone_covariant(data.eta, data.phi, data.omega, ConePair(y_form, z_form))
-    rhs = ConePair(q_form.t_derivative(), s_form.t_derivative())
-    return lhs - rhs
+    return lhs - ConePair(q_form, s_form).t_derivative()
 
 
 def exponent_variation_residual(data: ConnectionData) -> ConePair:
@@ -404,9 +392,8 @@ def conjugation_residual(data: ConnectionData, mu: Form, pair: ConePair) -> Cone
     """Twisting by an exact perturbation commutes with the shear map
     (a, b) -> (a + mu^b, b): residual of the conjugation identity for a
     1-form mu on the total space."""
-    sheared = ConePair(pair.first + mu.wedge(pair.second), pair.second)
+    sheared = pair + mu.wedge(pair.second)
     lhs = cone_d(sheared, data.omega, check=False)
     shifted_twist = data.omega + mu.d()
     inner = cone_d(pair, shifted_twist, check=False)
-    rhs = ConePair(inner.first + mu.wedge(inner.second), inner.second)
-    return lhs - rhs
+    return lhs - (inner + mu.wedge(inner.second))

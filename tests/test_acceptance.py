@@ -100,7 +100,7 @@ def test_criterion_03_fiber_integral_is_unit():
     bad = []
     for i, (data, u) in enumerate(zip(grid_instances(), grid_thom_forms())):
         result = thom.fiber_integral(u.pair)
-        if result != ConePair.unit(data.chart):
+        if result != ConePair.one(data.chart):
             bad.append(i)
     _report("criterion-3 fiber integral (1,0) with exact s-cancellation", not bad, f"failures={bad}")
 

@@ -9,7 +9,7 @@ from conethom.cli import main
 from conethom.cone import EndomorphismField
 from conethom.instances import _FILE_FIELDS, GenConfig, InstanceFile, generate
 from conethom.report import CHECK_NAMES, run_check, run_suite
-from conethom.scalars import EXPONENT_LIMIT, Scalar
+from conethom.scalars import DIGIT_LIMIT, EXPONENT_LIMIT, Scalar
 from conethom.thom import ConnectionData
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -72,6 +72,9 @@ def _omega_coeff(text):
             lambda o: o["omega"][0]["coeff"][0].__setitem__(0, {"x1": 0}), "lists only the variables", id="zero-exponent"
         ),
         pytest.param(lambda o: o["omega"][0].pop("gauss"), "need exactly the fields", id="term-without-gauss"),
+        # a digit run past Python's int(str) limit is refused by the pattern
+        pytest.param(_omega_coeff("1" * 5000 + "/1"), "p and q of 1 to 1000 digits", id="rational-5000-digits"),
+        pytest.param(_omega_name("dx" + "1" * 5000), "dx or dy, then 1 to 1000 digits", id="name-5000-digits"),
     ],
 )
 def test_corrupted_instance_exits_two(tmp_path, capsys, corrupt, message):
@@ -99,6 +102,18 @@ def test_instance_schema_bounds_exponents_like_the_program():
     schema = json.loads((DOCS / "instance.schema.json").read_text())
     variable = schema["$defs"]["monomial"]["patternProperties"]["^(x[0-9]+|y[0-9]+|t)$"]
     assert variable["maximum"] == EXPONENT_LIMIT - 1
+
+
+def test_instance_schema_bounds_digit_runs_like_the_program():
+    schema = json.loads((DOCS / "instance.schema.json").read_text())
+    form_term = schema["$defs"]["form"]["items"]["properties"]
+    patterns = (
+        schema["$defs"]["rational"]["pattern"],
+        form_term["d"]["items"]["pattern"],
+        form_term["e"]["items"]["pattern"],
+    )
+    for pattern in patterns:
+        assert set(re.findall(r"\{1,(\d+)\}", pattern)) == {str(DIGIT_LIMIT)}
 
 
 def test_missing_inputs_exit_two(capsys):

@@ -42,7 +42,7 @@ def closed_omega():
 
 def test_pair_unit():
     rng = random.Random(1)
-    unit = ConePair.unit(CHART)
+    unit = ConePair.one(CHART)
     for _ in range(10):
         p = random_pair(rng, CHART, max_gauss=1)
         assert unit.wedge(p) == p
@@ -105,7 +105,7 @@ def test_cone_d_zero_twist_is_componentwise():
 
 def test_cone_d_validates_twist():
     bad = Form.single(CHART, Scalar.variable(TABLE, "y1"), d=("dx1", "dx2"))
-    p = ConePair.unit(CHART)
+    p = ConePair.one(CHART)
     with pytest.raises(ValueError):
         cone_d(p, bad)
     not_two_form = Form.single(CHART, 1, d=("dx1",))
@@ -119,7 +119,7 @@ def test_cone_d_rejects_nonclosed_base_two_form():
     chart = ChartSpec(3, 1)
     bad = Form.single(chart, Scalar.variable(chart.table, "x3"), d=("dx1", "dx2"))
     with pytest.raises(ValueError, match="not closed"):
-        cone_d(ConePair.unit(chart), bad)
+        cone_d(ConePair.one(chart), bad)
 
 
 # ----------------------------------------------------------------------

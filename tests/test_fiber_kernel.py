@@ -34,13 +34,13 @@ class TwoMaskTerm(NamedTuple):
 
 def two_masks(form):
     """The terms of a form keyed by (weight, one-form word, fiber word)."""
-    first = form.chart.one_form_count
+    first = form.chart.fiber_shift
     mask = form.chart.one_form_mask
     return {TwoMaskTerm(g, w & mask, w >> first): c for (g, w), c in form.terms.items()}
 
 
 def from_two_masks(chart, terms):
-    first = chart.one_form_count
+    first = chart.fiber_shift
     return Form._raw(chart, {FormTerm(g, o | f << first): c for (g, o, f), c in terms.items()})
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conethom.instances import GenConfig, InstanceFile, generate, load_instance
+from conethom.scalars import DIGIT_LIMIT
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "instance.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -35,6 +36,8 @@ REPLACEMENTS = {
         "", "x", "x1", "y1", "t", "s", "dx1", "dx2", "dy1", "e1", "e2", "dx0", "e3",
         "dx+1", "dx 1", "dx１", "dx1_0", "dx01", "e+1",
         "3/4", "-3/4", "03/4", "+3/4", " 3/4", "3/ 4", "３/4", "3/+4", "3_0/4", "3/0", "1/-2", "3",
+        # digit runs past Python's int(str) limit: both sides bound them
+        "1" * 5000 + "/1", "1/" + "1" * 5000, "dx" + "1" * 5000, "e" + "1" * 5000,
     ),
     list: ([], [1], ["dx1"], ["e1"], [[{}, "1/1"]], [{}, "1/1"]),
     dict: (
@@ -103,3 +106,22 @@ def test_schema_rejections_and_loader_refusals_agree(path, obj):
             assert any(re.search(rule, message) for rule in SEMANTIC_RULES.values()), message
     else:
         assert schema_ok, f"loaded a file the schema rejects: {next(VALIDATOR.iter_errors(obj)).message}"
+
+
+# one digit run past Python's int(str) limit in each bounded slot
+LONG_DIGIT_RUNS = {
+    "rational": (lambda o, v: o["omega"][0]["coeff"][0].__setitem__(1, v), "1" * 5000 + "/1"),
+    "one-form name": (lambda o, v: o["omega"][0]["d"].__setitem__(0, v), "dx" + "1" * 5000),
+    "fiber name": (lambda o, v: o["omega"][0].__setitem__("e", [v]), "e" + "1" * 5000),
+}
+
+
+@pytest.mark.parametrize("slot", LONG_DIGIT_RUNS)
+def test_long_digit_runs_fail_both_sides_by_the_same_bound(path, slot):
+    put, value = LONG_DIGIT_RUNS[slot]
+    obj = copy.deepcopy(FILES[0])
+    put(obj, value)
+    path.write_text(json.dumps(obj))
+    assert not VALIDATOR.is_valid(obj)
+    with pytest.raises(ValueError, match=f"1 to {DIGIT_LIMIT} digits"):
+        load_instance(path)
